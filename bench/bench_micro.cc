@@ -63,9 +63,9 @@ BENCHMARK(BM_EventQueueTimerArmCancel);
 static void
 BM_EventQueueExpiryFlood(benchmark::State &state)
 {
-    // Mirrors ClosedLoopFarm: every request arms a long (6 s) expiry
-    // timer and the response arrives almost immediately, cancelling
-    // it. Cancelled timers must not linger in the heap for the
+    // Mirrors the client farms: every request arms a long (6 s)
+    // expiry timer and the response arrives almost immediately,
+    // cancelling it. Cancelled timers must not linger in the heap for the
     // remaining simulated seconds; peak_heap verifies the engine
     // bounds its heap (compaction) instead of accumulating one dead
     // entry per served request. Iterations are pinned so the peak
@@ -492,19 +492,19 @@ BM_SessionClientChurn(benchmark::State &state)
         });
     }
 
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 2000;
     cfg.numFiles = 1000;
-    auto profile = *wl::profileByName("sessions");
-    wl::SessionFarm farm(s, net, servers, clients, cfg, profile);
+    auto profile = *loadgen::profileByName("sessions");
+    loadgen::SessionFarm farm(s, net, servers, clients, cfg, profile);
     farm.start();
     s.runUntil(sim::sec(1)); // warm: pools, slabs, session table
 
-    std::uint64_t served_before = farm.totalServed();
+    std::uint64_t served_before = farm.tally().totalServed;
     for (auto _ : state)
         s.runUntil(s.now() + sim::msec(10));
-    benchmark::DoNotOptimize(farm.totalServed());
-    state.SetItemsProcessed(farm.totalServed() - served_before);
+    benchmark::DoNotOptimize(farm.tally().totalServed);
+    state.SetItemsProcessed(farm.tally().totalServed - served_before);
 }
 BENCHMARK(BM_SessionClientChurn);
 

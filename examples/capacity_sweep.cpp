@@ -14,7 +14,7 @@
 #include "press/cluster.hh"
 #include "sim/simulation.hh"
 #include "loadgen/client_farm.hh"
-#include "loadgen/closed_loop.hh"
+#include "loadgen/session_farm.hh"
 
 using namespace performa;
 
@@ -35,10 +35,10 @@ measure(press::Version v, double rate)
     ccfg.press.version = v;
     press::Cluster cluster(sim, ccfg);
 
-    wl::WorkloadConfig wcfg;
+    loadgen::WorkloadConfig wcfg;
     wcfg.requestRate = rate;
     wcfg.numFiles = 60000;
-    wl::ClientFarm farm(sim, cluster.clientNet(),
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
                         cluster.serverClientPorts(),
                         cluster.clientMachinePorts(), wcfg);
 
@@ -49,12 +49,12 @@ measure(press::Version v, double rate)
     sim.runUntil(sim::sec(50));
 
     Point p;
-    p.offered = farm.offered().meanRate(sim::sec(20), sim::sec(50));
-    p.served = farm.served().meanRate(sim::sec(20), sim::sec(50));
+    p.offered = farm.tally().offered.meanRate(sim::sec(20), sim::sec(50));
+    p.served = farm.tally().served.meanRate(sim::sec(20), sim::sec(50));
     p.availability =
-        farm.totalOffered()
-            ? static_cast<double>(farm.totalServed()) /
-                  static_cast<double>(farm.totalOffered())
+        farm.tally().totalOffered
+            ? static_cast<double>(farm.tally().totalServed) /
+                  static_cast<double>(farm.tally().totalOffered)
             : 0.0;
     return p;
 }
@@ -87,20 +87,29 @@ main(int argc, char **argv)
         press::ClusterConfig ccfg;
         ccfg.press.version = v;
         press::Cluster cluster(sim, ccfg);
-        wl::ClosedLoopConfig wcfg;
-        wcfg.users = users;
+        loadgen::WorkloadConfig wcfg;
         wcfg.numFiles = 60000;
-        wl::ClosedLoopFarm farm(sim, cluster.clientNet(),
-                                cluster.serverClientPorts(),
-                                cluster.clientMachinePorts(), wcfg);
+        // One request per session: every user thinks, asks, and is
+        // replaced by a fresh user — a classic closed loop.
+        loadgen::LoadProfileSpec users_profile =
+            *loadgen::profileByName("sessions");
+        users_profile.sessionCount = users;
+        users_profile.meanRequestsPerSession = 1;
+        users_profile.meanThink = sim::msec(50);
+        loadgen::SessionFarm farm(sim, cluster.clientNet(),
+                                  cluster.serverClientPorts(),
+                                  cluster.clientMachinePorts(), wcfg,
+                                  users_profile);
         cluster.startAll();
         sim.runUntil(sim::sec(2));
         cluster.prewarm(wcfg.numFiles);
         farm.start();
         sim.runUntil(sim::sec(40));
+        const loadgen::Tally &t = farm.tally();
         std::printf("%10zu %7.0f/s %11.2f ms\n", users,
-                    farm.served().meanRate(sim::sec(15), sim::sec(40)),
-                    farm.latency().mean() / 1000.0);
+                    t.served.meanRate(sim::sec(15), sim::sec(40)),
+                    t.timeline.cumulative(sim::LatencyStage::Total).mean() /
+                        1000.0);
     }
     std::printf("\n(closed loops self-throttle: latency, not failure "
                 "count, absorbs saturation)\n");

@@ -36,10 +36,10 @@ main(int argc, char **argv)
 
     // 3. Attach the client population (Poisson arrivals, Zipf files,
     //    2s/6s timeouts, round-robin DNS).
-    wl::WorkloadConfig wl_cfg;
+    loadgen::WorkloadConfig wl_cfg;
     wl_cfg.requestRate = 0.9 * press::paperThroughput(version);
     wl_cfg.numFiles = 60000;
-    wl::ClientFarm farm(sim, cluster.clientNet(),
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
                         cluster.serverClientPorts(),
                         cluster.clientMachinePorts(), wl_cfg);
 
@@ -62,13 +62,13 @@ main(int argc, char **argv)
     std::printf("  time   served req/s   availability so far\n");
     for (int t = 5; t <= 120; t += 5) {
         sim.runUntil(sim::sec(static_cast<std::uint64_t>(t)));
-        double rate = farm.served().meanRate(
+        double rate = farm.tally().served.meanRate(
             sim::sec(static_cast<std::uint64_t>(t - 5)),
             sim::sec(static_cast<std::uint64_t>(t)));
         double avail =
-            farm.totalOffered()
-                ? 100.0 * static_cast<double>(farm.totalServed()) /
-                      static_cast<double>(farm.totalOffered())
+            farm.tally().totalOffered
+                ? 100.0 * static_cast<double>(farm.tally().totalServed) /
+                      static_cast<double>(farm.tally().totalOffered)
                 : 100.0;
         const char *note = "";
         if (t == 30)
@@ -80,8 +80,8 @@ main(int argc, char **argv)
     }
 
     std::printf("\nfinal: served %llu of %llu requests; cluster %s\n",
-                (unsigned long long)farm.totalServed(),
-                (unsigned long long)farm.totalOffered(),
+                (unsigned long long)farm.tally().totalServed,
+                (unsigned long long)farm.tally().totalOffered,
                 cluster.splintered() ? "SPLINTERED (operator needed)"
                                      : "whole");
     return 0;

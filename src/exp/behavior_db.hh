@@ -34,10 +34,6 @@ class BehaviorDb
   public:
     using Key = std::pair<press::Version, fault::FaultKind>;
 
-    /** Measure one pair by running the phase-1 experiment. */
-    static model::MeasuredBehavior measure(press::Version v,
-                                           fault::FaultKind k);
-
     /**
      * Ensure every (version, fault) pair is present: load cached rows
      * from @p cache_path when it exists, measure the rest in parallel

@@ -53,13 +53,13 @@ Experiment::Experiment(ExperimentConfig cfg)
 {
     if (cfg_.profile.pareto.enabled)
         cfg_.cluster.press.fileSizeFn =
-            wl::makeFileSizeFn(cfg_.profile.pareto);
+            loadgen::makeFileSizeFn(cfg_.profile.pareto);
     if (cfg_.profile.reserveSlices == 0)
         cfg_.profile.reserveSlices =
             static_cast<std::size_t>(cfg_.duration / sim::sec(1)) + 2;
 
     cluster_ = std::make_unique<press::Cluster>(sim_, cfg_.cluster);
-    farm_ = wl::makeLoadGenerator(
+    farm_ = loadgen::makeLoadGenerator(
         sim_, cluster_->clientNet(), cluster_->serverClientPorts(),
         cluster_->clientMachinePorts(), cfg_.workload, cfg_.profile);
 
@@ -98,7 +98,7 @@ Experiment::Experiment(ExperimentConfig cfg)
     // Snapshot wiring, bottom-up: the simulation core first (clock,
     // RNG, event queue), then every cluster component, the load
     // generator, and finally the experiment's own marker log.
-    registry_.attach(sim_);
+    registry_.attach(sim_, sim_.events());
     cluster_->registerWith(registry_);
     farm_->registerWith(registry_);
     registry_.add(
@@ -169,10 +169,11 @@ Experiment::injectAndMeasure(const std::optional<fault::FaultSpec> &f,
     res.markers = markers_;
 
     // Copy out the series (they span the whole run, warm-up included).
-    res.served = farm_->served();
-    res.failed = farm_->failed();
-    res.offered = farm_->offered();
-    res.latency = farm_->timeline();
+    const loadgen::Tally &tally = farm_->tally();
+    res.served = tally.served;
+    res.failed = tally.failed;
+    res.offered = tally.offered;
+    res.latency = tally.timeline;
 
     // Steady-state throughput just before injection (or over the
     // second half of a fault-free run).
@@ -181,10 +182,9 @@ Experiment::injectAndMeasure(const std::optional<fault::FaultSpec> &f,
     res.normalThroughput = res.served.meanRate(t_from, t_to);
 
     res.availability =
-        farm_->totalOffered()
-            ? static_cast<double>(farm_->totalServed()) /
-                  static_cast<double>(farm_->totalOffered())
-            : 0.0;
+        tally.totalOffered ? static_cast<double>(tally.totalServed) /
+                                 static_cast<double>(tally.totalOffered)
+                           : 0.0;
 
     for (std::uint32_t i = 0; i < cluster_->numNodes(); ++i)
         res.finalMembers.push_back(cluster_->server(i).members().size());

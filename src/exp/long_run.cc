@@ -102,10 +102,10 @@ validateModel(const LongRunConfig &cfg)
     ccfg.press.robustMembership = cfg.robustMembership;
     press::Cluster cluster(sim, ccfg);
 
-    wl::WorkloadConfig wcfg;
+    loadgen::WorkloadConfig wcfg;
     wcfg.requestRate = press::paperThroughput(cfg.version) * 1.15;
     wcfg.numFiles = 68000;
-    wl::ClientFarm farm(sim, cluster.clientNet(),
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
                         cluster.serverClientPorts(),
                         cluster.clientMachinePorts(), wcfg);
 
@@ -170,7 +170,7 @@ validateModel(const LongRunConfig &cfg)
 
     out.faultsInjected = faults;
     out.operatorResets = resets;
-    double long_run_tput = farm.served().meanRate(warmup, horizon);
+    double long_run_tput = farm.tally().served.meanRate(warmup, horizon);
     out.measuredAvailability = tn > 0 ? long_run_tput / tn : 0.0;
     if (out.measuredAvailability > 1.0)
         out.measuredAvailability = 1.0;

@@ -15,16 +15,14 @@ ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
     : sim_(s), net_(client_net), serverPorts_(std::move(server_ports)),
       clientPorts_(std::move(client_ports)), cfg_(cfg),
       profile_(std::move(profile)), shaped_(!profile_.isDefault()),
-      splitRng_(s.splitRng(kLoadgenRngSalt)),
       zipf_(cfg.numFiles, cfg.zipfAlpha),
-      timeline_({.sliceWidth = sim::sec(1),
-                 .reserveSlices = profile_.reserveSlices})
+      st_{.splitRng = s.splitRng(kLoadgenRngSalt),
+          .pending = {},
+          .latency = {},
+          .tally = Tally(profile_.reserveSlices)}
 {
     if (serverPorts_.empty() || clientPorts_.empty())
         FATAL("ClientFarm needs at least one server and client port");
-    served_.reserve(profile_.reserveSlices);
-    failed_.reserve(profile_.reserveSlices);
-    offered_.reserve(profile_.reserveSlices);
     for (net::PortId p : clientPorts_) {
         net_.setHandler(p,
             [this](net::Frame &&f) { onResponse(std::move(f)); });
@@ -34,24 +32,24 @@ ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
 void
 ClientFarm::start()
 {
-    if (running_)
+    if (st_.running)
         return;
-    running_ = true;
-    ++generation_;
+    st_.running = true;
+    ++st_.generation;
     arrivalTick();
 }
 
 void
 ClientFarm::stop()
 {
-    running_ = false;
-    ++generation_;
+    st_.running = false;
+    ++st_.generation;
 }
 
 void
 ClientFarm::arrivalTick()
 {
-    if (!running_)
+    if (!st_.running)
         return;
     issueRequest();
     double rate = cfg_.requestRate;
@@ -60,9 +58,9 @@ ClientFarm::arrivalTick()
     if (rate <= 0.0)
         rate = 1.0; // idle trough: crawl until the curve comes back
     sim::Tick mean = static_cast<sim::Tick>(1e6 / rate);
-    std::uint64_t gen = generation_;
+    std::uint64_t gen = st_.generation;
     sim_.scheduleIn(genRng().exponential(mean), [this, gen] {
-        if (gen == generation_)
+        if (gen == st_.generation)
             arrivalTick();
     });
 }
@@ -70,20 +68,19 @@ ClientFarm::arrivalTick()
 void
 ClientFarm::issueRequest()
 {
-    sim::RequestId id = nextReq_++;
+    sim::RequestId id = st_.nextReq++;
     sim::FileId file =
         static_cast<sim::FileId>(zipf_.sample(genRng()));
 
     // Round-robin DNS: clients keep hitting a node's address whether
     // or not the node is up.
-    net::PortId server = serverPorts_[rrServer_];
-    rrServer_ = (rrServer_ + 1) % serverPorts_.size();
-    net::PortId client = clientPorts_[rrClient_];
-    rrClient_ = (rrClient_ + 1) % clientPorts_.size();
+    net::PortId server = serverPorts_[st_.rrServer];
+    st_.rrServer = (st_.rrServer + 1) % serverPorts_.size();
+    net::PortId client = clientPorts_[st_.rrClient];
+    st_.rrClient = (st_.rrClient + 1) % clientPorts_.size();
 
-    pending_[id] = Pending{sim_.now()};
-    ++totalOffered_;
-    offered_.record(sim_.now());
+    st_.pending[id] = Pending{sim_.now()};
+    st_.tally.offer(sim_.now());
 
     auto body = sim_.makePayload<press::ClientRequestBody>();
     body->req = id;
@@ -112,62 +109,13 @@ ClientFarm::onResponse(net::Frame &&f)
     if (f.kind != press::ClientResponse || !f.payload)
         return;
     auto *body = f.payload.get<press::ClientResponseBody>();
-    auto it = pending_.find(body->req);
-    if (it == pending_.end())
+    auto it = st_.pending.find(body->req);
+    if (it == st_.pending.end())
         return; // already expired: the client hung up long ago
-    latency_.add(static_cast<double>(sim_.now() - it->second.sentAt));
-    recordResponseLatency(timeline_, sim_.now(), *body);
-    pending_.erase(it);
-    ++totalServed_;
-    served_.record(sim_.now());
-}
-
-ClientFarm::Saved
-ClientFarm::save() const
-{
-    Saved s;
-    s.splitRng = splitRng_;
-    s.running = running_;
-    s.generation = generation_;
-    s.nextReq = nextReq_;
-    s.rrServer = rrServer_;
-    s.rrClient = rrClient_;
-    s.pending = pending_;
-    s.served = served_;
-    s.failed = failed_;
-    s.offered = offered_;
-    s.latency = latency_;
-    s.timeline = timeline_;
-    s.totalServed = totalServed_;
-    s.totalFailed = totalFailed_;
-    s.totalOffered = totalOffered_;
-    return s;
-}
-
-void
-ClientFarm::restore(const Saved &s)
-{
-    splitRng_ = s.splitRng;
-    running_ = s.running;
-    generation_ = s.generation;
-    nextReq_ = s.nextReq;
-    rrServer_ = s.rrServer;
-    rrClient_ = s.rrClient;
-    pending_ = s.pending;
-    served_ = s.served;
-    failed_ = s.failed;
-    offered_ = s.offered;
-    latency_ = s.latency;
-    timeline_ = s.timeline;
-    totalServed_ = s.totalServed;
-    totalFailed_ = s.totalFailed;
-    totalOffered_ = s.totalOffered;
-    // The copies above carry capacity == size; re-reserve so recording
-    // stays allocation-free for the rest of the forked run, as the
-    // constructor arranged for a fresh one.
-    served_.reserve(profile_.reserveSlices);
-    failed_.reserve(profile_.reserveSlices);
-    offered_.reserve(profile_.reserveSlices);
+    st_.latency.add(static_cast<double>(sim_.now() - it->second.sentAt));
+    recordResponseLatency(st_.tally.timeline, sim_.now(), *body);
+    st_.pending.erase(it);
+    st_.tally.serve(sim_.now());
 }
 
 void
@@ -179,12 +127,11 @@ ClientFarm::registerWith(sim::SnapshotRegistry &reg)
 void
 ClientFarm::expire(sim::RequestId id)
 {
-    auto it = pending_.find(id);
-    if (it == pending_.end())
+    auto it = st_.pending.find(id);
+    if (it == st_.pending.end())
         return; // completed in time
-    pending_.erase(it);
-    ++totalFailed_;
-    failed_.record(sim_.now());
+    st_.pending.erase(it);
+    st_.tally.fail(sim_.now());
 }
 
 } // namespace performa::loadgen

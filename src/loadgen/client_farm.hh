@@ -3,11 +3,11 @@
  * The client population: open-loop Poisson request generation over a
  * Zipf-popular file set, round-robin DNS across the server nodes, and
  * the paper's request timeouts (2 s to connect, 6 s to complete).
- * Successes and failures are recorded into per-second time series —
- * the raw material of the paper's throughput plots and of the
- * availability metric (fraction of requests served successfully) —
- * and every served request's stamped per-stage latency goes into a
- * StageLatencyTimeline.
+ * Successes and failures are recorded into the Tally's per-second
+ * time series — the raw material of the paper's throughput plots and
+ * of the availability metric (fraction of requests served
+ * successfully) — and every served request's stamped per-stage
+ * latency goes into its StageLatencyTimeline.
  *
  * A LoadProfileSpec can modulate the offered rate (diurnal curves,
  * flash crowds); profile-driven draws come from a split RNG stream,
@@ -63,46 +63,23 @@ class ClientFarm : public LoadGenerator
     /** Stop generating new requests. */
     void stop() override;
 
-    const sim::TimeSeries &served() const override { return served_; }
-    const sim::TimeSeries &failed() const override { return failed_; }
-    const sim::TimeSeries &offered() const override { return offered_; }
-
-    std::uint64_t totalServed() const override { return totalServed_; }
-    std::uint64_t totalFailed() const override { return totalFailed_; }
-    std::uint64_t totalOffered() const override { return totalOffered_; }
+    const Tally &tally() const override { return st_.tally; }
 
     /** In-flight (not yet answered or timed out) request count. */
-    std::size_t pendingCount() const { return pending_.size(); }
+    std::size_t pendingCount() const { return st_.pending.size(); }
 
     /** Response-time statistics of served requests (microseconds). */
-    const sim::OnlineStats &latency() const { return latency_; }
-
-    /** Per-stage (connect/queue/service/total) latency histograms,
-     *  one slice per second. */
-    const sim::StageLatencyTimeline &
-    timeline() const override
-    {
-        return timeline_;
-    }
-    sim::StageLatencyTimeline
-    stealTimeline() override
-    {
-        return std::move(timeline_);
-    }
+    const sim::OnlineStats &latency() const { return st_.latency; }
 
     const WorkloadConfig &config() const { return cfg_; }
     const LoadProfileSpec &profile() const { return profile_; }
     const sim::ZipfSampler &popularity() const { return zipf_; }
 
-    /** Snapshot state: generation counters, in-flight requests, RNG
-     *  stream and the recorded series/histograms. */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
     void registerWith(sim::SnapshotRegistry &reg) override;
 
   private:
+    friend class sim::SnapshotRegistry;
+
     struct Pending
     {
         sim::Tick sentAt;
@@ -115,7 +92,7 @@ class ClientFarm : public LoadGenerator
 
     /** Profile draws come from the split stream; the default profile
      *  keeps drawing from the shared, historical stream. */
-    sim::Rng &genRng() { return shaped_ ? splitRng_ : sim_.rng(); }
+    sim::Rng &genRng() { return shaped_ ? st_.splitRng : sim_.rng(); }
 
     sim::Simulation &sim_;
     net::Network &net_;
@@ -124,51 +101,26 @@ class ClientFarm : public LoadGenerator
     WorkloadConfig cfg_;
     LoadProfileSpec profile_;
     bool shaped_; ///< profile_ modulates this farm
-    sim::Rng splitRng_;
     sim::ZipfSampler zipf_;
 
-    bool running_ = false;
-    std::uint64_t generation_ = 0;
-    sim::RequestId nextReq_ = 1;
-    std::size_t rrServer_ = 0;
-    std::size_t rrClient_ = 0;
+    /** Snapshot state: generation counters, in-flight requests, RNG
+     *  stream and everything recorded. */
+    struct State
+    {
+        sim::Rng splitRng;
+        bool running = false;
+        std::uint64_t generation = 0;
+        sim::RequestId nextReq = 1;
+        std::size_t rrServer = 0;
+        std::size_t rrClient = 0;
+        std::unordered_map<sim::RequestId, Pending> pending;
+        sim::OnlineStats latency;
+        Tally tally;
+    };
 
-    std::unordered_map<sim::RequestId, Pending> pending_;
-
-    sim::TimeSeries served_;
-    sim::TimeSeries failed_;
-    sim::TimeSeries offered_;
-    sim::OnlineStats latency_;
-    sim::StageLatencyTimeline timeline_;
-    std::uint64_t totalServed_ = 0;
-    std::uint64_t totalFailed_ = 0;
-    std::uint64_t totalOffered_ = 0;
-};
-
-struct ClientFarm::Saved
-{
-    sim::Rng splitRng;
-    bool running;
-    std::uint64_t generation;
-    sim::RequestId nextReq;
-    std::size_t rrServer;
-    std::size_t rrClient;
-    std::unordered_map<sim::RequestId, Pending> pending;
-    sim::TimeSeries served;
-    sim::TimeSeries failed;
-    sim::TimeSeries offered;
-    sim::OnlineStats latency;
-    sim::StageLatencyTimeline timeline;
-    std::uint64_t totalServed;
-    std::uint64_t totalFailed;
-    std::uint64_t totalOffered;
+    State st_;
 };
 
 } // namespace performa::loadgen
-
-namespace performa {
-/** Legacy alias: the workload subsystem grew into loadgen. */
-namespace wl = loadgen;
-} // namespace performa
 
 #endif // PERFORMA_LOADGEN_CLIENT_FARM_HH

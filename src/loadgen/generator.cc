@@ -7,6 +7,16 @@
 
 namespace performa::loadgen {
 
+Tally::Tally(std::size_t reserve_slices)
+    : timeline({.hist = {},
+                .sliceWidth = sim::sec(1),
+                .reserveSlices = reserve_slices})
+{
+    served.reserve(reserve_slices);
+    failed.reserve(reserve_slices);
+    offered.reserve(reserve_slices);
+}
+
 std::unique_ptr<LoadGenerator>
 makeLoadGenerator(sim::Simulation &sim, net::Network &client_net,
                   std::vector<net::PortId> server_ports,

@@ -1,9 +1,9 @@
 /**
  * @file
  * The LoadGenerator interface: what an experiment needs from any
- * client population — start/stop, the served/failed/offered series,
- * and the per-stage latency timeline. The open-loop ClientFarm and
- * the session-based SessionFarm both implement it; makeLoadGenerator
+ * client population — start/stop and the Tally of what it offered,
+ * got served and saw fail. The open-loop ClientFarm and the
+ * session-based SessionFarm both implement it; makeLoadGenerator
  * picks the right one for a LoadProfileSpec.
  */
 
@@ -34,6 +34,47 @@ struct WorkloadConfig;
 /** RNG stream salt for split-stream (profile-driven) generators. */
 inline constexpr std::uint64_t kLoadgenRngSalt = 0x10adc0de;
 
+/**
+ * What a client population records: per-second served/failed/offered
+ * series, the per-stage latency timeline and the running totals.
+ * Recording only — it draws no randomness, so it cannot perturb a
+ * run. Series and timeline are pre-reserved, so recording stays
+ * allocation-free within the reservation.
+ */
+struct Tally
+{
+    explicit Tally(std::size_t reserve_slices = 0);
+
+    void
+    offer(sim::Tick now)
+    {
+        ++totalOffered;
+        offered.record(now);
+    }
+
+    void
+    serve(sim::Tick now)
+    {
+        ++totalServed;
+        served.record(now);
+    }
+
+    void
+    fail(sim::Tick now)
+    {
+        ++totalFailed;
+        failed.record(now);
+    }
+
+    sim::TimeSeries served;
+    sim::TimeSeries failed;
+    sim::TimeSeries offered;
+    sim::StageLatencyTimeline timeline;
+    std::uint64_t totalServed = 0;
+    std::uint64_t totalFailed = 0;
+    std::uint64_t totalOffered = 0;
+};
+
 class LoadGenerator
 {
   public:
@@ -42,20 +83,10 @@ class LoadGenerator
     virtual void start() = 0;
     virtual void stop() = 0;
 
-    virtual const sim::TimeSeries &served() const = 0;
-    virtual const sim::TimeSeries &failed() const = 0;
-    virtual const sim::TimeSeries &offered() const = 0;
+    /** Everything recorded so far. */
+    virtual const Tally &tally() const = 0;
 
-    virtual std::uint64_t totalServed() const = 0;
-    virtual std::uint64_t totalFailed() const = 0;
-    virtual std::uint64_t totalOffered() const = 0;
-
-    virtual const sim::StageLatencyTimeline &timeline() const = 0;
-    /** Move the timeline out (experiment teardown). */
-    virtual sim::StageLatencyTimeline stealTimeline() = 0;
-
-    /** Attach this generator's mutable state to a snapshot registry
-     *  (each concrete farm registers its own Saved type). */
+    /** Attach this generator's mutable state to a snapshot registry. */
     virtual void registerWith(sim::SnapshotRegistry &reg) = 0;
 };
 
@@ -86,9 +117,5 @@ void recordResponseLatency(sim::StageLatencyTimeline &tl, sim::Tick now,
                            bool record_connect = true);
 
 } // namespace performa::loadgen
-
-namespace performa {
-namespace wl = loadgen;
-} // namespace performa
 
 #endif // PERFORMA_LOADGEN_GENERATOR_HH

@@ -31,20 +31,17 @@ SessionFarm::SessionFarm(sim::Simulation &s, net::Network &client_net,
     : sim_(s), net_(client_net), serverPorts_(std::move(server_ports)),
       clientPorts_(std::move(client_ports)), cfg_(cfg),
       profile_(std::move(profile)),
-      rng_(s.splitRng(kLoadgenRngSalt)),
       zipf_(cfg.numFiles, cfg.zipfAlpha),
-      timeline_({.sliceWidth = sim::sec(1),
-                 .reserveSlices = profile_.reserveSlices})
+      st_{.rng = s.splitRng(kLoadgenRngSalt),
+          .sessions = {},
+          .tally = Tally(profile_.reserveSlices)}
 {
     if (serverPorts_.empty() || clientPorts_.empty())
         FATAL("SessionFarm needs at least one server and client port");
     std::size_t n = profile_.sessionCount
                         ? profile_.sessionCount
                         : derivedSessionCount(cfg_, profile_);
-    sessions_.resize(n);
-    served_.reserve(profile_.reserveSlices);
-    failed_.reserve(profile_.reserveSlices);
-    offered_.reserve(profile_.reserveSlices);
+    st_.sessions.resize(n);
     for (net::PortId p : clientPorts_) {
         net_.setHandler(p,
             [this](net::Frame &&f) { onResponse(std::move(f)); });
@@ -54,22 +51,22 @@ SessionFarm::SessionFarm(sim::Simulation &s, net::Network &client_net,
 void
 SessionFarm::start()
 {
-    if (running_)
+    if (st_.running)
         return;
-    running_ = true;
-    ++generation_;
-    for (std::size_t i = 0; i < sessions_.size(); ++i)
+    st_.running = true;
+    ++st_.generation;
+    for (std::size_t i = 0; i < st_.sessions.size(); ++i)
         beginSession(i);
 }
 
 void
 SessionFarm::stop()
 {
-    running_ = false;
-    ++generation_;
+    st_.running = false;
+    ++st_.generation;
     // Abandon in-flight requests: their seq bump makes late responses
     // and pending expiries no-ops.
-    for (auto &sess : sessions_) {
+    for (auto &sess : st_.sessions) {
         if (sess.inFlight) {
             sim_.events().cancel(sess.expiry);
             sess.inFlight = false;
@@ -81,17 +78,17 @@ SessionFarm::stop()
 void
 SessionFarm::beginSession(std::size_t idx)
 {
-    Session &sess = sessions_[idx];
+    Session &sess = st_.sessions[idx];
     // A fresh user: new connection to the next server (round-robin
     // DNS), a geometrically distributed number of requests.
-    sess.server = rrServer_;
-    rrServer_ = (rrServer_ + 1) % serverPorts_.size();
+    sess.server = st_.rrServer;
+    st_.rrServer = (st_.rrServer + 1) % serverPorts_.size();
     double mean = profile_.meanRequestsPerSession;
     if (mean < 1.0)
         mean = 1.0;
     sess.remaining =
         1 + std::geometric_distribution<std::uint32_t>(1.0 / mean)(
-                rng_.engine());
+                st_.rng.engine());
     sess.firstRequest = true;
     sess.inFlight = false;
     think(idx);
@@ -100,10 +97,10 @@ SessionFarm::beginSession(std::size_t idx)
 void
 SessionFarm::think(std::size_t idx)
 {
-    std::uint64_t gen = generation_;
-    sim_.scheduleIn(rng_.exponential(profile_.meanThink),
+    std::uint64_t gen = st_.generation;
+    sim_.scheduleIn(st_.rng.exponential(profile_.meanThink),
                     [this, idx, gen] {
-                        if (gen == generation_ && running_)
+                        if (gen == st_.generation && st_.running)
                             sendRequest(idx);
                     });
 }
@@ -111,16 +108,15 @@ SessionFarm::think(std::size_t idx)
 void
 SessionFarm::sendRequest(std::size_t idx)
 {
-    Session &sess = sessions_[idx];
+    Session &sess = st_.sessions[idx];
     sess.sentAt = sim_.now();
     sess.inFlight = true;
     ++sess.seq;
 
-    sim::FileId file = static_cast<sim::FileId>(zipf_.sample(rng_));
+    sim::FileId file = static_cast<sim::FileId>(zipf_.sample(st_.rng));
     net::PortId client = clientPorts_[idx % clientPorts_.size()];
 
-    ++totalOffered_;
-    offered_.record(sim_.now());
+    st_.tally.offer(sim_.now());
 
     auto body = sim_.makePayload<press::ClientRequestBody>();
     body->req = encodeReq(idx, sess.seq);
@@ -154,9 +150,9 @@ SessionFarm::onResponse(net::Frame &&f)
         return;
     auto *body = f.payload.get<press::ClientResponseBody>();
     std::size_t idx = static_cast<std::size_t>(body->req >> 32);
-    if (idx == 0 || idx > sessions_.size())
+    if (idx == 0 || idx > st_.sessions.size())
         return;
-    Session &sess = sessions_[idx - 1];
+    Session &sess = st_.sessions[idx - 1];
     std::uint32_t seq = static_cast<std::uint32_t>(body->req);
     if (!sess.inFlight || sess.seq != seq)
         return; // timed out (or from a previous session); drop
@@ -164,79 +160,34 @@ SessionFarm::onResponse(net::Frame &&f)
     sim_.events().cancel(sess.expiry);
     sess.inFlight = false;
 
-    recordResponseLatency(timeline_, sim_.now(), *body,
+    recordResponseLatency(st_.tally.timeline, sim_.now(), *body,
                           sess.firstRequest);
     sess.firstRequest = false;
-    ++totalServed_;
-    served_.record(sim_.now());
+    st_.tally.serve(sim_.now());
 
     if (--sess.remaining == 0) {
-        ++completedSessions_;
-        if (running_)
+        ++st_.completedSessions;
+        if (st_.running)
             beginSession(idx - 1);
         return;
     }
-    if (running_)
+    if (st_.running)
         think(idx - 1);
 }
 
 void
 SessionFarm::expire(std::size_t idx, std::uint32_t seq)
 {
-    Session &sess = sessions_[idx];
+    Session &sess = st_.sessions[idx];
     if (!sess.inFlight || sess.seq != seq)
         return; // answered in time
     sess.inFlight = false;
-    ++totalFailed_;
-    failed_.record(sim_.now());
+    st_.tally.fail(sim_.now());
     // The user gives up on this server: drop the connection and
     // reconnect (next session picks the next server round-robin).
-    ++completedSessions_;
-    if (running_)
+    ++st_.completedSessions;
+    if (st_.running)
         beginSession(idx);
-}
-
-SessionFarm::Saved
-SessionFarm::save() const
-{
-    Saved s;
-    s.rng = rng_;
-    s.running = running_;
-    s.generation = generation_;
-    s.rrServer = rrServer_;
-    s.sessions = sessions_;
-    s.served = served_;
-    s.failed = failed_;
-    s.offered = offered_;
-    s.timeline = timeline_;
-    s.totalServed = totalServed_;
-    s.totalFailed = totalFailed_;
-    s.totalOffered = totalOffered_;
-    s.completedSessions = completedSessions_;
-    return s;
-}
-
-void
-SessionFarm::restore(const Saved &s)
-{
-    rng_ = s.rng;
-    running_ = s.running;
-    generation_ = s.generation;
-    rrServer_ = s.rrServer;
-    sessions_ = s.sessions;
-    served_ = s.served;
-    failed_ = s.failed;
-    offered_ = s.offered;
-    timeline_ = s.timeline;
-    totalServed_ = s.totalServed;
-    totalFailed_ = s.totalFailed;
-    totalOffered_ = s.totalOffered;
-    completedSessions_ = s.completedSessions;
-    // Re-reserve series capacity lost by the copy so steady-state
-    // recording stays allocation-free after a fork.
-    served_.reserve(profile_.reserveSlices);
-    failed_.reserve(profile_.reserveSlices);
-    offered_.reserve(profile_.reserveSlices);
 }
 
 void

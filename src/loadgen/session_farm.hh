@@ -45,40 +45,22 @@ class SessionFarm : public LoadGenerator
     void start() override;
     void stop() override;
 
-    const sim::TimeSeries &served() const override { return served_; }
-    const sim::TimeSeries &failed() const override { return failed_; }
-    const sim::TimeSeries &offered() const override { return offered_; }
+    const Tally &tally() const override { return st_.tally; }
 
-    std::uint64_t totalServed() const override { return totalServed_; }
-    std::uint64_t totalFailed() const override { return totalFailed_; }
-    std::uint64_t totalOffered() const override { return totalOffered_; }
-
-    const sim::StageLatencyTimeline &
-    timeline() const override
-    {
-        return timeline_;
-    }
-    sim::StageLatencyTimeline
-    stealTimeline() override
-    {
-        return std::move(timeline_);
-    }
-
-    std::size_t sessionCount() const { return sessions_.size(); }
+    std::size_t sessionCount() const { return st_.sessions.size(); }
     /** Sessions ended so far (completed or abandoned on timeout). */
-    std::uint64_t completedSessions() const { return completedSessions_; }
+    std::uint64_t
+    completedSessions() const
+    {
+        return st_.completedSessions;
+    }
     const WorkloadConfig &config() const { return cfg_; }
 
-    /** Snapshot state: the session table (expiry EventHandles stay
-     *  valid because the event queue restores slot-for-slot), RNG
-     *  stream and recorded series/histograms. */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
     void registerWith(sim::SnapshotRegistry &reg) override;
 
   private:
+    friend class sim::SnapshotRegistry;
+
     struct Session
     {
         std::size_t server = 0;   ///< sticky: the reused connection
@@ -108,45 +90,25 @@ class SessionFarm : public LoadGenerator
     std::vector<net::PortId> clientPorts_;
     WorkloadConfig cfg_;
     LoadProfileSpec profile_;
-    sim::Rng rng_;
     sim::ZipfSampler zipf_;
 
-    bool running_ = false;
-    std::uint64_t generation_ = 0;
-    std::size_t rrServer_ = 0;
-    std::vector<Session> sessions_;
+    /** Snapshot state: the session table (expiry EventHandles stay
+     *  valid because the event queue restores slot-for-slot), RNG
+     *  stream and everything recorded. */
+    struct State
+    {
+        sim::Rng rng;
+        bool running = false;
+        std::uint64_t generation = 0;
+        std::size_t rrServer = 0;
+        std::vector<Session> sessions;
+        Tally tally;
+        std::uint64_t completedSessions = 0;
+    };
 
-    sim::TimeSeries served_;
-    sim::TimeSeries failed_;
-    sim::TimeSeries offered_;
-    sim::StageLatencyTimeline timeline_;
-    std::uint64_t totalServed_ = 0;
-    std::uint64_t totalFailed_ = 0;
-    std::uint64_t totalOffered_ = 0;
-    std::uint64_t completedSessions_ = 0;
-};
-
-struct SessionFarm::Saved
-{
-    sim::Rng rng;
-    bool running;
-    std::uint64_t generation;
-    std::size_t rrServer;
-    std::vector<Session> sessions;
-    sim::TimeSeries served;
-    sim::TimeSeries failed;
-    sim::TimeSeries offered;
-    sim::StageLatencyTimeline timeline;
-    std::uint64_t totalServed;
-    std::uint64_t totalFailed;
-    std::uint64_t totalOffered;
-    std::uint64_t completedSessions;
+    State st_;
 };
 
 } // namespace performa::loadgen
-
-namespace performa {
-namespace wl = loadgen;
-} // namespace performa
 
 #endif // PERFORMA_LOADGEN_SESSION_FARM_HH

@@ -96,9 +96,4 @@ void applyFileSet(const FlatFileSet &fs, press::ClusterConfig &cluster,
 
 } // namespace performa::loadgen
 
-namespace performa {
-/** Legacy alias: the workload subsystem grew into loadgen. */
-namespace wl = loadgen;
-} // namespace performa
-
 #endif // PERFORMA_LOADGEN_TRACE_HH

@@ -15,32 +15,33 @@ Network::Network(sim::Simulation &s, NetworkConfig cfg)
 PortId
 Network::addPort()
 {
-    ports_.emplace_back();
-    return static_cast<PortId>(ports_.size() - 1);
+    st_.ports.emplace_back();
+    handlers_.emplace_back();
+    return static_cast<PortId>(st_.ports.size() - 1);
 }
 
 void
 Network::setHandler(PortId port, Handler h)
 {
-    ports_.at(port).handler = std::move(h);
+    handlers_.at(port) = std::move(h);
 }
 
 void
 Network::setPortUp(PortId port, bool up)
 {
-    ports_.at(port).up = up;
+    st_.ports.at(port).up = up;
 }
 
 void
 Network::setLinkUp(PortId port, bool up)
 {
-    ports_.at(port).linkUp = up;
+    st_.ports.at(port).linkUp = up;
 }
 
 void
 Network::setSwitchUp(bool up)
 {
-    switchUp_ = up;
+    st_.switchUp = up;
 }
 
 sim::Tick
@@ -59,27 +60,27 @@ Network::txTime(std::uint64_t bytes) const
 std::uint32_t
 Network::acquireSlot()
 {
-    if (freeHead_ != noSlot) {
-        std::uint32_t slot = freeHead_;
-        freeHead_ = inflight_[slot].next;
+    if (st_.freeHead != noSlot) {
+        std::uint32_t slot = st_.freeHead;
+        st_.freeHead = st_.inflight[slot].next;
         return slot;
     }
-    inflight_.emplace_back();
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
+    st_.inflight.emplace_back();
+    return static_cast<std::uint32_t>(st_.inflight.size() - 1);
 }
 
 void
 Network::send(Frame &&frame, Outcome outcome)
 {
-    Port &src = ports_.at(frame.srcPort);
-    Port &dst = ports_.at(frame.dstPort);
+    Port &src = st_.ports.at(frame.srcPort);
+    Port &dst = st_.ports.at(frame.dstPort);
 
     sim::Tick now = sim_.now();
-    bool path_ok = src.up && src.linkUp && switchUp_ && dst.linkUp &&
+    bool path_ok = src.up && src.linkUp && st_.switchUp && dst.linkUp &&
                    dst.up;
 
     if (!path_ok) {
-        ++dropped_;
+        ++st_.dropped;
         // Charge the sender's NIC with the first down component,
         // checking hosts before links before the switch.
         if (!src.up || !dst.up)
@@ -95,7 +96,7 @@ Network::send(Frame &&frame, Outcome outcome)
             sim::Tick when = now + 2 * cfg_.linkLatency +
                              cfg_.switchLatency + sim::usec(20);
             std::uint32_t slot = acquireSlot();
-            InFlight &rec = inflight_[slot];
+            InFlight &rec = st_.inflight[slot];
             rec.outcome = std::move(outcome);
             rec.deliver = false;
             sim_.schedule(when, [this, slot] { fireInFlight(slot); });
@@ -118,61 +119,24 @@ Network::send(Frame &&frame, Outcome outcome)
     dst.rxBusyUntil = rx_done;
 
     std::uint32_t slot = acquireSlot();
-    InFlight &rec = inflight_[slot];
+    InFlight &rec = st_.inflight[slot];
     rec.frame = std::move(frame);
     rec.outcome = std::move(outcome);
     rec.deliver = true;
     sim_.schedule(rx_done, [this, slot] { fireInFlight(slot); });
 }
 
-Network::Saved
-Network::save() const
-{
-    Saved s;
-    s.ports.reserve(ports_.size());
-    for (const Port &p : ports_)
-        s.ports.push_back(Saved::PortState{p.up, p.linkUp, p.txBusyUntil,
-                                           p.rxBusyUntil, p.stats});
-    s.switchUp = switchUp_;
-    s.dropped = dropped_;
-    s.delivered = delivered_;
-    s.inflight = inflight_;
-    s.freeHead = freeHead_;
-    return s;
-}
-
-void
-Network::restore(const Saved &s)
-{
-    if (s.ports.size() != ports_.size())
-        PANIC("network restore with a different port count");
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-        Port &p = ports_[i];
-        const Saved::PortState &ps = s.ports[i];
-        p.up = ps.up;
-        p.linkUp = ps.linkUp;
-        p.txBusyUntil = ps.txBusyUntil;
-        p.rxBusyUntil = ps.rxBusyUntil;
-        p.stats = ps.stats;
-    }
-    switchUp_ = s.switchUp;
-    dropped_ = s.dropped;
-    delivered_ = s.delivered;
-    inflight_ = s.inflight;
-    freeHead_ = s.freeHead;
-}
-
 void
 Network::fireInFlight(std::uint32_t slot)
 {
     // Move the record's contents out and release the slot *first*: the
-    // handler below may send more frames, which can grow inflight_ and
+    // handler below may send more frames, which can grow st_.inflight and
     // invalidate the reference (and should be able to reuse the slot).
-    Frame f = std::move(inflight_[slot].frame);
-    Outcome cb = std::move(inflight_[slot].outcome);
-    bool deliver = inflight_[slot].deliver;
-    inflight_[slot].next = freeHead_;
-    freeHead_ = slot;
+    Frame f = std::move(st_.inflight[slot].frame);
+    Outcome cb = std::move(st_.inflight[slot].outcome);
+    bool deliver = st_.inflight[slot].deliver;
+    st_.inflight[slot].next = st_.freeHead;
+    st_.freeHead = slot;
 
     if (!deliver) {
         // Parked hardware-ack drop notification.
@@ -180,21 +144,22 @@ Network::fireInFlight(std::uint32_t slot)
         return;
     }
 
-    Port &d = ports_.at(f.dstPort);
+    PortId dst = f.dstPort;
+    Port &d = st_.ports.at(dst);
     // Re-check the receiving side: components that died while the
     // frame was in flight still cause a loss.
-    if (!d.up || !d.linkUp || !switchUp_) {
-        ++dropped_;
-        ++ports_.at(f.srcPort).stats.dropDiedInFlight;
+    if (!d.up || !d.linkUp || !st_.switchUp) {
+        ++st_.dropped;
+        ++st_.ports.at(f.srcPort).stats.dropDiedInFlight;
         if (cb)
             cb(false);
         return;
     }
-    ++delivered_;
+    ++st_.delivered;
     d.stats.framesReceived++;
     d.stats.bytesReceived += f.bytes;
-    if (d.handler)
-        d.handler(std::move(f));
+    if (handlers_[dst])
+        handlers_[dst](std::move(f));
     if (cb)
         cb(true);
 }

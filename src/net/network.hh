@@ -32,6 +32,10 @@
 #include "sim/simulation.hh"
 #include "sim/types.hh"
 
+namespace performa::sim {
+class SnapshotRegistry;
+}
+
 namespace performa::net {
 
 /** Index of a port on a Network. */
@@ -103,9 +107,9 @@ class Network
     /** Take the central switch down or bring it back. */
     void setSwitchUp(bool up);
 
-    bool portUp(PortId port) const { return ports_.at(port).up; }
-    bool linkUp(PortId port) const { return ports_.at(port).linkUp; }
-    bool switchUp() const { return switchUp_; }
+    bool portUp(PortId port) const { return st_.ports.at(port).up; }
+    bool linkUp(PortId port) const { return st_.ports.at(port).linkUp; }
+    bool switchUp() const { return st_.switchUp; }
 
     /**
      * Inject @p frame from @p frame.srcPort toward @p frame.dstPort.
@@ -118,41 +122,31 @@ class Network
     void send(Frame &&frame, Outcome outcome = {});
 
     /** Frames dropped so far (for tests and stats). */
-    std::uint64_t dropped() const { return dropped_; }
+    std::uint64_t dropped() const { return st_.dropped; }
 
     /** Frames delivered so far. */
-    std::uint64_t delivered() const { return delivered_; }
+    std::uint64_t delivered() const { return st_.delivered; }
 
     /** NIC counters for @p port. */
     const PortStats &portStats(PortId port) const
     {
-        return ports_.at(port).stats;
+        return st_.ports.at(port).stats;
     }
 
     /** Number of ports (for stats iteration). */
-    std::size_t numPorts() const { return ports_.size(); }
-
-    /**
-     * Snapshot state: per-port fault/serialization/counter state, the
-     * fabric-wide flags and counters, and the in-flight slab (frames
-     * copy by payload-refcount bump). Port handlers are configuration
-     * wired at construction and are not part of the saved state; the
-     * in-flight slab is restored slot for slot so pending delivery
-     * events (which capture {this, slot}) find their frames again.
-     */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
+    std::size_t numPorts() const { return st_.ports.size(); }
 
   private:
+    friend class sim::SnapshotRegistry;
+
+    /** Mutable per-port state (the port's handler is wiring, kept
+     *  apart in handlers_). */
     struct Port
     {
         bool up = true;
         bool linkUp = true;
         sim::Tick txBusyUntil = 0; ///< uplink serialization horizon
         sim::Tick rxBusyUntil = 0; ///< downlink serialization horizon
-        Handler handler;
         PortStats stats;
     };
 
@@ -182,32 +176,26 @@ class Network
 
     sim::Simulation &sim_;
     NetworkConfig cfg_;
-    std::vector<Port> ports_;
-    bool switchUp_ = true;
-    std::uint64_t dropped_ = 0;
-    std::uint64_t delivered_ = 0;
-    std::vector<InFlight> inflight_;
-    std::uint32_t freeHead_ = noSlot;
-};
+    std::vector<Handler> handlers_; ///< per port, wired at set-up
 
-struct Network::Saved
-{
-    /** Mutable half of a Port (the handler stays wired in place). */
-    struct PortState
+    /**
+     * Snapshot state: per-port fault/serialization/counter state, the
+     * fabric-wide flags and counters, and the in-flight slab (frames
+     * copy by payload-refcount bump). The slab is restored slot for
+     * slot so pending delivery events (which capture {this, slot})
+     * find their frames again.
+     */
+    struct State
     {
-        bool up;
-        bool linkUp;
-        sim::Tick txBusyUntil;
-        sim::Tick rxBusyUntil;
-        PortStats stats;
+        std::vector<Port> ports;
+        bool switchUp = true;
+        std::uint64_t dropped = 0;
+        std::uint64_t delivered = 0;
+        std::vector<InFlight> inflight;
+        std::uint32_t freeHead = noSlot;
     };
 
-    std::vector<PortState> ports;
-    bool switchUp;
-    std::uint64_t dropped;
-    std::uint64_t delivered;
-    std::vector<InFlight> inflight;
-    std::uint32_t freeHead;
+    State st_;
 };
 
 } // namespace performa::net

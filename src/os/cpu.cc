@@ -7,79 +7,53 @@ namespace performa::osim {
 void
 Cpu::exec(sim::Tick cost, sim::SmallFn done)
 {
-    queue_.push_back(Item{cost, std::move(done)});
+    st_.queue.push_back(Item{cost, std::move(done)});
     maybeStart();
 }
 
 void
 Cpu::pause()
 {
-    ++pauseCount_;
+    ++st_.pauseCount;
 }
 
 void
 Cpu::resume()
 {
-    if (pauseCount_ > 0)
-        --pauseCount_;
+    if (st_.pauseCount > 0)
+        --st_.pauseCount;
     maybeStart();
 }
 
 void
 Cpu::clear()
 {
-    queue_.clear();
-    ++generation_; // orphan any in-flight completion
-    inflight_.done.reset();
-    running_ = false;
-}
-
-Cpu::Saved
-Cpu::save() const
-{
-    Saved s;
-    s.queue = queue_.clone(
-        [](const Item &it) { return Item{it.cost, it.done.clone()}; });
-    s.inflight = Item{inflight_.cost, inflight_.done.clone()};
-    s.running = running_;
-    s.pauseCount = pauseCount_;
-    s.generation = generation_;
-    s.busyTime = busyTime_;
-    return s;
-}
-
-void
-Cpu::restore(const Saved &s)
-{
-    queue_ = s.queue.clone(
-        [](const Item &it) { return Item{it.cost, it.done.clone()}; });
-    inflight_ = Item{s.inflight.cost, s.inflight.done.clone()};
-    running_ = s.running;
-    pauseCount_ = s.pauseCount;
-    generation_ = s.generation;
-    busyTime_ = s.busyTime;
+    st_.queue.clear();
+    ++st_.generation; // orphan any in-flight completion
+    st_.inflight.done.reset();
+    st_.running = false;
 }
 
 void
 Cpu::maybeStart()
 {
-    if (running_ || pauseCount_ > 0 || queue_.empty())
+    if (st_.running || st_.pauseCount > 0 || st_.queue.empty())
         return;
-    running_ = true;
-    inflight_ = std::move(queue_.front());
-    queue_.pop_front();
-    std::uint64_t gen = generation_;
-    // The item itself parks in inflight_, so the completion event
+    st_.running = true;
+    st_.inflight = std::move(st_.queue.front());
+    st_.queue.pop_front();
+    std::uint64_t gen = st_.generation;
+    // The item itself parks in st_.inflight, so the completion event
     // captures only {this, gen} and always stays in SmallFn's inline
     // buffer.
-    sim_.scheduleIn(inflight_.cost, [this, gen] {
-        if (gen != generation_)
+    sim_.scheduleIn(st_.inflight.cost, [this, gen] {
+        if (gen != st_.generation)
             return; // cleared (node crashed) while in flight
-        busyTime_ += inflight_.cost;
-        running_ = false;
+        st_.busyTime += st_.inflight.cost;
+        st_.running = false;
         // Move out before invoking: the completion may call exec(),
-        // which starts the next item and overwrites inflight_.
-        sim::SmallFn done = std::move(inflight_.done);
+        // which starts the next item and overwrites st_.inflight.
+        sim::SmallFn done = std::move(st_.inflight.done);
         done();
         maybeStart();
     });

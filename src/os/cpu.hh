@@ -17,6 +17,10 @@
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
 
+namespace performa::sim {
+class SnapshotRegistry;
+}
+
 namespace performa::osim {
 
 /**
@@ -53,21 +57,16 @@ class Cpu
     /** Drop all queued work and any in-flight item (node crash). */
     void clear();
 
-    bool paused() const { return pauseCount_ > 0; }
-    bool idle() const { return !running_ && queue_.empty(); }
-    std::size_t queueLength() const { return queue_.size(); }
+    bool paused() const { return st_.pauseCount > 0; }
+    bool idle() const { return !st_.running && st_.queue.empty(); }
+    std::size_t queueLength() const { return st_.queue.size(); }
 
     /** Total microseconds of work retired (utilization accounting). */
-    sim::Tick busyTime() const { return busyTime_; }
-
-    /** Snapshot state: run queue and in-flight item (completions
-     *  clone()d), pause depth, generation and accounting. */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
+    sim::Tick busyTime() const { return st_.busyTime; }
 
   private:
+    friend class sim::SnapshotRegistry;
+
     struct Item
     {
         sim::Tick cost;
@@ -78,23 +77,21 @@ class Cpu
     void maybeStart();
 
     sim::Simulation &sim_;
-    sim::RingBuffer<Item> queue_;
-    Item inflight_{}; ///< item being executed; keeps the completion
-                      ///< event's capture down to {this, generation}
-    bool running_ = false;
-    int pauseCount_ = 0;
-    std::uint64_t generation_ = 0; ///< invalidates in-flight completions
-    sim::Tick busyTime_ = 0;
-};
 
-struct Cpu::Saved
-{
-    sim::RingBuffer<Item> queue;
-    Item inflight;
-    bool running;
-    int pauseCount;
-    std::uint64_t generation;
-    sim::Tick busyTime;
+    /** Snapshot state: run queue and in-flight item (completions
+     *  copied), pause depth, generation and accounting. */
+    struct State
+    {
+        sim::RingBuffer<Item> queue;
+        Item inflight{}; ///< item being executed; keeps the completion
+                         ///< event's capture down to {this, generation}
+        bool running = false;
+        int pauseCount = 0;
+        std::uint64_t generation = 0; ///< invalidates in-flight completions
+        sim::Tick busyTime = 0;
+    };
+
+    State st_;
 };
 
 } // namespace performa::osim

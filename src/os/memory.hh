@@ -17,6 +17,10 @@
 
 #include <cstdint>
 
+namespace performa::sim {
+class SnapshotRegistry;
+}
+
 namespace performa::osim {
 
 /**
@@ -37,9 +41,9 @@ class KernelMemory
     bool
     alloc(std::uint64_t bytes)
     {
-        if (failInjected_ || used_ + bytes > capacity_)
+        if (st_.failInjected || st_.used + bytes > capacity_)
             return false;
-        used_ += bytes;
+        st_.used += bytes;
         return true;
     }
 
@@ -47,44 +51,32 @@ class KernelMemory
     void
     free(std::uint64_t bytes)
     {
-        used_ = bytes > used_ ? 0 : used_ - bytes;
+        st_.used = bytes > st_.used ? 0 : st_.used - bytes;
     }
 
     /** Force all further allocations to fail (fault injection). */
-    void setFailInjected(bool on) { failInjected_ = on; }
-    bool failInjected() const { return failInjected_; }
+    void setFailInjected(bool on) { st_.failInjected = on; }
+    bool failInjected() const { return st_.failInjected; }
 
-    std::uint64_t used() const { return used_; }
+    std::uint64_t used() const { return st_.used; }
     std::uint64_t capacity() const { return capacity_; }
 
     /** Node reboot: empty the pool and clear injected faults. */
-    void
-    reset()
-    {
-        used_ = 0;
-        failInjected_ = false;
-    }
-
-    /** Snapshot state (capacity is configuration). */
-    struct Saved
-    {
-        std::uint64_t used;
-        bool failInjected;
-    };
-
-    Saved save() const { return Saved{used_, failInjected_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        used_ = s.used;
-        failInjected_ = s.failInjected;
-    }
+    void reset() { st_ = State{}; }
 
   private:
+    friend class sim::SnapshotRegistry;
+
     std::uint64_t capacity_;
-    std::uint64_t used_ = 0;
-    bool failInjected_ = false;
+
+    /** Snapshot state (capacity is configuration). */
+    struct State
+    {
+        std::uint64_t used = 0;
+        bool failInjected = false;
+    };
+
+    State st_;
 };
 
 /**
@@ -106,9 +98,9 @@ class PinManager
     bool
     pin(std::uint64_t bytes)
     {
-        if (pinned_ + bytes > effectiveLimit())
+        if (st_.pinned + bytes > effectiveLimit())
             return false;
-        pinned_ += bytes;
+        st_.pinned += bytes;
         return true;
     }
 
@@ -116,52 +108,40 @@ class PinManager
     void
     unpin(std::uint64_t bytes)
     {
-        pinned_ = bytes > pinned_ ? 0 : pinned_ - bytes;
+        st_.pinned = bytes > st_.pinned ? 0 : st_.pinned - bytes;
     }
 
     /**
      * Fault injection: clamp the limit to @p bytes (the modified cLAN
      * driver's adjustable threshold). Pass ~0 to restore.
      */
-    void setInjectedLimit(std::uint64_t bytes) { injectedLimit_ = bytes; }
+    void setInjectedLimit(std::uint64_t bytes) { st_.injectedLimit = bytes; }
 
     std::uint64_t
     effectiveLimit() const
     {
-        return injectedLimit_ < limit_ ? injectedLimit_ : limit_;
+        return st_.injectedLimit < limit_ ? st_.injectedLimit : limit_;
     }
 
-    std::uint64_t pinned() const { return pinned_; }
+    std::uint64_t pinned() const { return st_.pinned; }
     std::uint64_t limit() const { return limit_; }
 
     /** Node reboot. */
-    void
-    reset()
-    {
-        pinned_ = 0;
-        injectedLimit_ = ~std::uint64_t(0);
-    }
-
-    /** Snapshot state (the configured limit is not mutable). */
-    struct Saved
-    {
-        std::uint64_t pinned;
-        std::uint64_t injectedLimit;
-    };
-
-    Saved save() const { return Saved{pinned_, injectedLimit_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        pinned_ = s.pinned;
-        injectedLimit_ = s.injectedLimit;
-    }
+    void reset() { st_ = State{}; }
 
   private:
+    friend class sim::SnapshotRegistry;
+
     std::uint64_t limit_;
-    std::uint64_t pinned_ = 0;
-    std::uint64_t injectedLimit_ = ~std::uint64_t(0);
+
+    /** Snapshot state (the configured limit is not mutable). */
+    struct State
+    {
+        std::uint64_t pinned = 0;
+        std::uint64_t injectedLimit = ~std::uint64_t(0);
+    };
+
+    State st_;
 };
 
 } // namespace performa::osim

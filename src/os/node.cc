@@ -23,17 +23,17 @@ Node::setPorts(bool up)
 void
 Node::crash(sim::Tick downtime)
 {
-    if (state_ == State::Down)
+    if (st_.status == Status::Down)
         return;
     sim::Trace::log(sim_.now(), "node", "node ", id_, " crashed (down ",
                     sim::toSeconds(downtime), "s)");
-    if (state_ == State::Frozen) {
+    if (st_.status == Status::Frozen) {
         // Crashing while frozen: the pending unfreeze event will see
         // the node rebooted and do nothing, so undo the freeze's CPU
         // pause here or it would leak past the reboot.
         cpu_.resume();
     }
-    state_ = State::Down;
+    st_.status = Status::Down;
     setPorts(false);
     cpu_.clear();
     cpu_.pause(); // nothing executes while down
@@ -50,8 +50,8 @@ void
 Node::reboot()
 {
     sim::Trace::log(sim_.now(), "node", "node ", id_, " rebooted");
-    ++incarnation_;
-    state_ = State::Up;
+    ++st_.incarnation;
+    st_.status = Status::Up;
     setPorts(true);
     cpu_.resume();
     for (auto &fn : rebootFns_)
@@ -59,7 +59,7 @@ Node::reboot()
     // Mendosus starts another PRESS process automatically after boot.
     if (service_) {
         sim_.scheduleIn(cfg_.serviceStartDelay, [this] {
-            if (state_ == State::Up && service_ && !service_->alive())
+            if (st_.status == Status::Up && service_ && !service_->alive())
                 service_->start();
         });
     }
@@ -68,18 +68,18 @@ Node::reboot()
 void
 Node::freeze(sim::Tick duration)
 {
-    if (state_ != State::Up)
+    if (st_.status != Status::Up)
         return;
     sim::Trace::log(sim_.now(), "node", "node ", id_, " froze (",
                     sim::toSeconds(duration), "s)");
-    state_ = State::Frozen;
+    st_.status = Status::Frozen;
     cpu_.pause();
     for (auto &fn : freezeFns_)
         fn();
     sim_.scheduleIn(duration, [this] {
-        if (state_ != State::Frozen)
+        if (st_.status != Status::Frozen)
             return; // crashed while frozen
-        state_ = State::Up;
+        st_.status = Status::Up;
         cpu_.resume();
         sim::Trace::log(sim_.now(), "node", "node ", id_, " unfroze");
         for (auto &fn : unfreezeFns_)
@@ -105,15 +105,15 @@ Node::startServiceNow()
 void
 Node::killService()
 {
-    if (!service_ || !service_->alive() || state_ == State::Down)
+    if (!service_ || !service_->alive() || st_.status == Status::Down)
         return;
     service_->terminate(/*silent=*/false);
     // The daemon notices the death and restarts the process.
-    if (!restartPending_) {
-        restartPending_ = true;
+    if (!st_.restartPending) {
+        st_.restartPending = true;
         sim_.scheduleIn(cfg_.serviceRestartDelay, [this] {
-            restartPending_ = false;
-            if (state_ == State::Up && service_ && !service_->alive())
+            st_.restartPending = false;
+            if (st_.status == Status::Up && service_ && !service_->alive())
                 service_->start();
         });
     }
@@ -122,14 +122,14 @@ Node::killService()
 void
 Node::stopService()
 {
-    if (service_ && service_->alive() && state_ != State::Down)
+    if (service_ && service_->alive() && st_.status != Status::Down)
         service_->sigStop();
 }
 
 void
 Node::contService()
 {
-    if (service_ && service_->alive() && state_ != State::Down)
+    if (service_ && service_->alive() && st_.status != Status::Down)
         service_->sigCont();
 }
 
@@ -141,11 +141,11 @@ Node::serviceSelfExited(ExitReason reason)
                         " service gave up; waiting for operator");
         return; // availability cost: needs operator intervention
     }
-    if (reason == ExitReason::FailFast && !restartPending_) {
-        restartPending_ = true;
+    if (reason == ExitReason::FailFast && !st_.restartPending) {
+        st_.restartPending = true;
         sim_.scheduleIn(cfg_.serviceRestartDelay, [this] {
-            restartPending_ = false;
-            if (state_ == State::Up && service_ && !service_->alive())
+            st_.restartPending = false;
+            if (st_.status == Status::Up && service_ && !service_->alive())
                 service_->start();
         });
     }
@@ -154,7 +154,7 @@ Node::serviceSelfExited(ExitReason reason)
 void
 Node::operatorRestartService()
 {
-    if (state_ != State::Up || !service_)
+    if (st_.status != Status::Up || !service_)
         return;
     if (service_->alive())
         service_->terminate(/*silent=*/false);

@@ -42,7 +42,7 @@ struct NodeConfig
 class Node
 {
   public:
-    enum class State
+    enum class Status
     {
         Up,
         Down,   ///< crashed; nothing runs, ports are dark
@@ -54,15 +54,15 @@ class Node
          net::PortId client_port, NodeConfig cfg = {});
 
     sim::NodeId id() const { return id_; }
-    State state() const { return state_; }
-    bool up() const { return state_ == State::Up; }
-    bool frozen() const { return state_ == State::Frozen; }
+    Status status() const { return st_.status; }
+    bool up() const { return st_.status == Status::Up; }
+    bool frozen() const { return st_.status == Status::Frozen; }
 
     /**
      * Reboot count; a rebooted node is a different "incarnation", which
      * is how TCP peers eventually get RSTs for stale connections.
      */
-    std::uint64_t incarnation() const { return incarnation_; }
+    std::uint64_t incarnation() const { return st_.incarnation; }
 
     Cpu &cpu() { return cpu_; }
     KernelMemory &kernelMem() { return kernelMem_; }
@@ -123,40 +123,9 @@ class Node
     void onUnfreeze(std::function<void()> fn) { unfreezeFns_.push_back(fn); }
     /** @} */
 
-    /**
-     * Snapshot state: lifecycle plus the owned CPU/memory managers.
-     * The attached service and lifecycle callbacks are wiring, saved
-     * by their own components (press::Server) or not mutable at all.
-     */
-    struct Saved
-    {
-        State state;
-        std::uint64_t incarnation;
-        bool restartPending;
-        Cpu::Saved cpu;
-        KernelMemory::Saved kernelMem;
-        PinManager::Saved pins;
-    };
-
-    Saved
-    save() const
-    {
-        return Saved{state_,           incarnation_,     restartPending_,
-                     cpu_.save(),      kernelMem_.save(), pins_.save()};
-    }
-
-    void
-    restore(const Saved &s)
-    {
-        state_ = s.state;
-        incarnation_ = s.incarnation;
-        restartPending_ = s.restartPending;
-        cpu_.restore(s.cpu);
-        kernelMem_.restore(s.kernelMem);
-        pins_.restore(s.pins);
-    }
-
   private:
+    friend class sim::SnapshotRegistry;
+
     void setPorts(bool up);
     void reboot();
 
@@ -168,20 +137,30 @@ class Node
     net::PortId clientPort_;
     NodeConfig cfg_;
 
-    State state_ = State::Up;
-    std::uint64_t incarnation_ = 1;
-
     Cpu cpu_;
     KernelMemory kernelMem_;
     PinManager pins_;
 
     Service *service_ = nullptr;
-    bool restartPending_ = false;
 
     std::vector<std::function<void()>> crashFns_;
     std::vector<std::function<void()>> rebootFns_;
     std::vector<std::function<void()>> freezeFns_;
     std::vector<std::function<void()>> unfreezeFns_;
+
+    /**
+     * Snapshot state: the lifecycle. The owned CPU and memory managers
+     * carry their own State (attach them with the node); the attached
+     * service and the lifecycle callbacks are wiring.
+     */
+    struct State
+    {
+        Status status = Status::Up;
+        std::uint64_t incarnation = 1;
+        bool restartPending = false;
+    };
+
+    State st_;
 };
 
 } // namespace performa::osim

@@ -37,6 +37,33 @@ class FileCache
           fileBytes_(file_bytes)
     {}
 
+    /**
+     * Copies carry the contents, LRU order and pin hooks, and index
+     * their own list. A snapshot copy fires no hooks: the pin
+     * accounting it implies is rewound wholesale by the node's
+     * PinManager state, so re-running them would double-count it.
+     */
+    FileCache(const FileCache &o)
+        : capacityFiles_(o.capacityFiles_), fileBytes_(o.fileBytes_),
+          lru_(o.lru_), pin_(o.pin_), unpin_(o.unpin_)
+    {
+        reindex();
+    }
+
+    FileCache &
+    operator=(const FileCache &o)
+    {
+        if (this != &o) {
+            capacityFiles_ = o.capacityFiles_;
+            fileBytes_ = o.fileBytes_;
+            lru_ = o.lru_;
+            pin_ = o.pin_;
+            unpin_ = o.unpin_;
+            reindex();
+        }
+        return *this;
+    }
+
     /** Enable dynamic pinning (VIA-PRESS-5). */
     void
     setPinHooks(PinHook pin, UnpinHook unpin)
@@ -125,22 +152,16 @@ class FileCache
     /** Iterate cached files in MRU-to-LRU order. */
     const std::list<sim::FileId> &files() const { return lru_; }
 
-    /**
-     * Snapshot support: rebuild the contents from a saved MRU-to-LRU
-     * file list WITHOUT firing pin or evict hooks — the pin accounting
-     * a restore implies is rewound wholesale by the node's PinManager
-     * state, so re-running the hooks would double-count it.
-     */
+  private:
+    /** Point the index at this object's own list nodes. */
     void
-    restoreFiles(const std::list<sim::FileId> &mru_to_lru)
+    reindex()
     {
-        lru_ = mru_to_lru;
         index_.clear();
         for (auto it = lru_.begin(); it != lru_.end(); ++it)
             index_[*it] = it;
     }
 
-  private:
     std::size_t capacityFiles_;
     std::uint64_t fileBytes_;
     std::list<sim::FileId> lru_;

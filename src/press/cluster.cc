@@ -92,7 +92,8 @@ Cluster::registerWith(sim::SnapshotRegistry &reg)
     reg.attach(*intraNet_);
     reg.attach(*clientNet_);
     for (std::uint32_t i = 0; i < cfg_.press.numNodes; ++i) {
-        reg.attach(*nodes_[i]);
+        osim::Node &n = *nodes_[i];
+        reg.attach(n, n.cpu(), n.kernelMem(), n.pins());
         reg.attach(servers_[i]->interposer());
         proto::ClusterComm &inner = servers_[i]->interposer().inner();
         if (auto *via = dynamic_cast<proto::ViaComm *>(&inner))
@@ -101,7 +102,7 @@ Cluster::registerWith(sim::SnapshotRegistry &reg)
             reg.attach(*tcp);
         else
             PANIC("unknown comm endpoint type in snapshot registration");
-        reg.attach(*servers_[i]);
+        reg.attach(*servers_[i], servers_[i]->disk());
     }
 }
 

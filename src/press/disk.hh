@@ -28,7 +28,7 @@ class DiskArray
     DiskArray(sim::Simulation &s, std::uint32_t disks, sim::Tick seek,
               double bytes_per_usec)
         : sim_(s), seek_(seek), bytesPerUsec_(bytes_per_usec),
-          freeAt_(disks, 0)
+          st_{std::vector<sim::Tick>(disks, 0)}
     {}
 
     /**
@@ -40,38 +40,22 @@ class DiskArray
     {
         // Pick the disk with the earliest availability.
         std::size_t best = 0;
-        for (std::size_t i = 1; i < freeAt_.size(); ++i) {
-            if (freeAt_[i] < freeAt_[best])
+        for (std::size_t i = 1; i < st_.freeAt.size(); ++i) {
+            if (st_.freeAt[i] < st_.freeAt[best])
                 best = i;
         }
-        sim::Tick start = std::max(sim_.now(), freeAt_[best]);
+        sim::Tick start = std::max(sim_.now(), st_.freeAt[best]);
         sim::Tick service = seek_ +
             static_cast<sim::Tick>(static_cast<double>(bytes) /
                                    bytesPerUsec_);
         sim::Tick finish = start + service;
-        freeAt_[best] = finish;
-        ++reads_;
+        st_.freeAt[best] = finish;
+        ++st_.reads;
         sim_.schedule(finish, std::move(done));
         return finish;
     }
 
-    std::uint64_t reads() const { return reads_; }
-
-    /** Snapshot state: per-disk booking horizon and the read count. */
-    struct Saved
-    {
-        std::vector<sim::Tick> freeAt;
-        std::uint64_t reads;
-    };
-
-    Saved save() const { return Saved{freeAt_, reads_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        freeAt_ = s.freeAt;
-        reads_ = s.reads;
-    }
+    std::uint64_t reads() const { return st_.reads; }
 
     /** Mean queue depth proxy: how far ahead of now the disks are booked. */
     sim::Tick
@@ -79,17 +63,26 @@ class DiskArray
     {
         sim::Tick now = sim_.now();
         sim::Tick total = 0;
-        for (auto f : freeAt_)
+        for (auto f : st_.freeAt)
             total += f > now ? f - now : 0;
         return total;
     }
 
   private:
+    friend class sim::SnapshotRegistry;
+
     sim::Simulation &sim_;
     sim::Tick seek_;
     double bytesPerUsec_;
-    std::vector<sim::Tick> freeAt_;
-    std::uint64_t reads_ = 0;
+
+    /** Snapshot state: per-disk booking horizon and the read count. */
+    struct State
+    {
+        std::vector<sim::Tick> freeAt;
+        std::uint64_t reads = 0;
+    };
+
+    State st_;
 };
 
 } // namespace performa::press

@@ -26,27 +26,27 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
         onMessage(peer, std::move(m));
     };
     cbs.onPeerConnected = [this](sim::NodeId peer) {
-        if (alive_)
+        if (st_.alive)
             onPeerConnected(peer);
     };
     cbs.onConnectFailed = [](sim::NodeId) {
         // The peer is down or unreachable: it is simply not a member.
     };
     cbs.onPeerBroken = [this](sim::NodeId peer, proto::BreakReason r) {
-        if (alive_)
+        if (st_.alive)
             onPeerBroken(peer, r);
     };
     cbs.onSendReady = [this] {
-        if (alive_)
+        if (st_.alive)
             onSendReady();
     };
     cbs.onFatalError = [this](const std::string &reason) {
-        if (alive_)
+        if (st_.alive)
             failFast(reason);
     };
     cbs.onDatagram = [this](sim::NodeId peer, std::uint32_t kind,
                             sim::RcAny payload) {
-        if (alive_ && !stopped_)
+        if (st_.alive && !st_.stopped)
             onDatagram(peer, kind, std::move(payload));
     };
     comm_->setCallbacks(std::move(cbs));
@@ -61,57 +61,50 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
 void
 Server::scheduleEpoch(sim::Tick delay, std::function<void()> fn)
 {
-    std::uint64_t e = epoch_;
+    std::uint64_t e = st_.epoch;
     node_.simulation().scheduleIn(delay, [this, e, fn = std::move(fn)] {
-        if (e == epoch_ && alive_)
+        if (e == st_.epoch && st_.alive)
             fn();
     });
 }
 
 void
-Server::makeFreshCache()
-{
-    cache_ = std::make_unique<FileCache>(cfg_.cacheBytes, cfg_.fileBytes);
-    if (usesDynamicPinning(cfg_.version) && !cfg_.staticPinning) {
-        auto *via = dynamic_cast<proto::ViaComm *>(&comm_->inner());
-        if (!via)
-            PANIC("dynamic pinning requires the VIA substrate");
-        cache_->setPinHooks(
-            [this, via](std::uint64_t bytes) {
-                bool ok = via->registerMemory(bytes);
-                if (!ok)
-                    ++stats_.pinFailures;
-                return ok;
-            },
-            [via](std::uint64_t bytes) { via->deregisterMemory(bytes); });
-    }
-}
-
-void
 Server::start()
 {
-    ++epoch_;
-    alive_ = true;
-    stopped_ = false;
-    stalled_ = false;
-    outstanding_ = 0;
-    pendingFwd_.clear();
-    pendingSends_.clear();
-    directory_.clear();
-    members_.clear();
-    members_.insert(node_.id());
-    loads_.clear();
-    joinTries_ = 0;
-    joinResponded_ = false;
-    lastHbAt_ = node_.simulation().now();
+    ++st_.epoch;
+    st_.alive = true;
+    st_.stopped = false;
+    st_.stalled = false;
+    st_.outstanding = 0;
+    st_.pendingFwd.clear();
+    st_.pendingSends.clear();
+    st_.directory.clear();
+    st_.members.clear();
+    st_.members.insert(node_.id());
+    st_.loads.clear();
+    st_.joinTries = 0;
+    st_.joinResponded = false;
+    st_.lastHbAt = node_.simulation().now();
 
     // Fresh process: fresh cache. For VIA-PRESS-5 every cached file's
     // pages are registered (pinned) with the VIA provider — either
     // per file (the paper's implementation, exposed to pin
     // exhaustion) or as one static region at start-up (the Section 7
     // pre-allocation extension).
-    makeFreshCache();
+    st_.cache.emplace(cfg_.cacheBytes, cfg_.fileBytes);
     auto *via = dynamic_cast<proto::ViaComm *>(&comm_->inner());
+    if (usesDynamicPinning(cfg_.version) && !cfg_.staticPinning) {
+        if (!via)
+            PANIC("dynamic pinning requires the VIA substrate");
+        st_.cache->setPinHooks(
+            [this, via](std::uint64_t bytes) {
+                bool ok = via->registerMemory(bytes);
+                if (!ok)
+                    ++st_.stats.pinFailures;
+                return ok;
+            },
+            [via](std::uint64_t bytes) { via->deregisterMemory(bytes); });
+    }
 
     comm_->start();
     if (via && via->started() && usesDynamicPinning(cfg_.version) &&
@@ -133,10 +126,10 @@ Server::start()
 
     sim::Trace::log(node_.simulation().now(), "press", "node ",
                     node_.id(), " started (",
-                    coldStart_ ? "cold" : "rejoin", ")");
+                    st_.coldStart ? "cold" : "rejoin", ")");
 
-    if (coldStart_) {
-        coldStart_ = false;
+    if (st_.coldStart) {
+        st_.coldStart = false;
         beginColdFormation();
     } else if (isVia(cfg_.version)) {
         // "The rejoining node simply tries to reestablish its
@@ -166,21 +159,21 @@ Server::start()
 void
 Server::terminate(bool silent)
 {
-    if (!alive_)
+    if (!st_.alive)
         return;
-    ++epoch_;
-    alive_ = false;
-    if (stalled_)
-        stats_.stalledTime += node_.simulation().now() - stallStartedAt_;
-    stalled_ = false;
-    stopped_ = false;
-    mainQ_.clear();
-    mainBusy_ = false;
-    pendingSends_.clear();
-    pendingFwd_.clear();
-    outstanding_ = 0;
-    if (cache_)
-        cache_->clear();
+    ++st_.epoch;
+    st_.alive = false;
+    if (st_.stalled)
+        st_.stats.stalledTime += node_.simulation().now() - st_.stallStartedAt;
+    st_.stalled = false;
+    st_.stopped = false;
+    st_.mainQ.clear();
+    st_.mainBusy = false;
+    st_.pendingSends.clear();
+    st_.pendingFwd.clear();
+    st_.outstanding = 0;
+    if (st_.cache)
+        st_.cache->clear();
     if (silent)
         comm_->vanish();
     else
@@ -193,18 +186,18 @@ Server::terminate(bool silent)
 void
 Server::sigStop()
 {
-    if (!alive_ || stopped_)
+    if (!st_.alive || st_.stopped)
         return;
-    stopped_ = true;
+    st_.stopped = true;
     comm_->setAppReceiving(false);
 }
 
 void
 Server::sigCont()
 {
-    if (!alive_ || !stopped_)
+    if (!st_.alive || !st_.stopped)
         return;
-    stopped_ = false;
+    st_.stopped = false;
     comm_->setAppReceiving(true);
     pumpMain();
 }
@@ -227,16 +220,16 @@ Server::failFast(const std::string &reason)
 void
 Server::onClientFrame(net::Frame &&f)
 {
-    if (!alive_ || stopped_ || !node_.up())
+    if (!st_.alive || st_.stopped || !node_.up())
         return; // client connect times out
     if (f.kind != ClientRequest || !f.payload)
         return;
-    if (outstanding_ >= cfg_.acceptCap) {
-        ++stats_.refused;
+    if (st_.outstanding >= cfg_.acceptCap) {
+        ++st_.stats.refused;
         return; // listen backlog full: connection refused/dropped
     }
-    ++outstanding_;
-    ++stats_.accepted;
+    ++st_.outstanding;
+    ++st_.stats.accepted;
     ClientRequestBody req = *f.payload.get<ClientRequestBody>();
     req.acceptedAt = node_.simulation().now();
     mainExec(cfg_.costs.acceptParse + cfg_.costs.clientConn,
@@ -254,8 +247,8 @@ clientSendCost(const PressCosts &costs, std::uint64_t bytes)
 void
 Server::dispatch(const ClientRequestBody &req)
 {
-    if (cache_->contains(req.file)) {
-        ++stats_.localHits;
+    if (st_.cache->contains(req.file)) {
+        ++st_.stats.localHits;
         serveFromCache(req);
         return;
     }
@@ -263,25 +256,25 @@ Server::dispatch(const ClientRequestBody &req)
     // Locality-conscious distribution: forward to a node caching the
     // file, least-loaded first.
     std::vector<sim::NodeId> candidates;
-    for (sim::NodeId n : directory_.nodesFor(req.file)) {
-        if (n != node_.id() && members_.count(n))
+    for (sim::NodeId n : st_.directory.nodesFor(req.file)) {
+        if (n != node_.id() && st_.members.count(n))
             candidates.push_back(n);
     }
     if (!candidates.empty()) {
-        ++stats_.forwarded;
+        ++st_.stats.forwarded;
         forwardRequest(req, leastLoaded(candidates));
         return;
     }
 
     // Nobody caches it: the least-loaded member fetches it from disk
     // and becomes its caching node.
-    std::vector<sim::NodeId> all(members_.begin(), members_.end());
+    std::vector<sim::NodeId> all(st_.members.begin(), st_.members.end());
     sim::NodeId svc = leastLoaded(all);
     if (svc == node_.id()) {
-        ++stats_.localMisses;
+        ++st_.stats.localMisses;
         serveFromDisk(req);
     } else {
-        ++stats_.forwarded;
+        ++st_.stats.forwarded;
         forwardRequest(req, svc);
     }
 }
@@ -289,7 +282,7 @@ Server::dispatch(const ClientRequestBody &req)
 void
 Server::serveFromCache(const ClientRequestBody &req)
 {
-    cache_->touch(req.file);
+    st_.cache->touch(req.file);
     sim::Tick svc = node_.simulation().now();
     std::uint64_t resp = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
     mainExec(cfg_.costs.cacheRead + clientSendCost(cfg_.costs, resp),
@@ -303,10 +296,10 @@ Server::serveFromCache(const ClientRequestBody &req)
 void
 Server::serveFromDisk(const ClientRequestBody &req)
 {
-    std::uint64_t e = epoch_;
+    std::uint64_t e = st_.epoch;
     sim::Tick svc = node_.simulation().now();
     disk_->read(cfg_.sizeOf(req.file), [this, e, req, svc] {
-        if (e != epoch_ || !alive_)
+        if (e != st_.epoch || !st_.alive)
             return;
         std::uint64_t resp =
             cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
@@ -332,10 +325,10 @@ Server::forwardRequest(const ClientRequestBody &req, sim::NodeId target)
     p.req = req.req;
     p.reqSentAt = req.sentAt;
     p.reqAcceptedAt = req.acceptedAt;
-    pendingFwd_[req.req] = p;
+    st_.pendingFwd[req.req] = p;
 
     FwdRequestBody body;
-    body.senderLoad = static_cast<std::uint32_t>(outstanding_);
+    body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
     body.req = req.req;
     body.file = req.file;
     body.initial = node_.id();
@@ -370,14 +363,14 @@ Server::respondToClient(sim::RequestId req, std::uint32_t reply_port,
     body->serviceStartAt = service_start;
     f.payload = std::move(body);
     node_.clientNet().send(std::move(f));
-    ++stats_.responses;
+    ++st_.stats.responses;
 }
 
 void
 Server::finishRequest()
 {
-    if (outstanding_ > 0)
-        --outstanding_;
+    if (st_.outstanding > 0)
+        --st_.outstanding;
 }
 
 // ---------------------------------------------------------------------
@@ -387,55 +380,55 @@ Server::finishRequest()
 void
 Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
 {
-    if (!alive_)
+    if (!st_.alive)
         return;
     // The receive helper thread consumed the message: return the
     // descriptor/credit (PRESS's explicit flow-control messages).
     comm_->consumed(peer);
 
-    if (!members_.count(peer))
+    if (!st_.members.count(peer))
         return; // stale traffic from an excluded node
 
     switch (msg.type) {
       case MsgFwdRequest: {
         auto *body = msg.body.get<FwdRequestBody>();
-        loads_[peer] = body->senderLoad;
+        st_.loads[peer] = body->senderLoad;
         handleFwdRequest(peer, *body);
         break;
       }
       case MsgFileData: {
         auto *body = msg.body.get<FileDataBody>();
-        loads_[peer] = body->senderLoad;
+        st_.loads[peer] = body->senderLoad;
         handleFileData(*body);
         break;
       }
       case MsgCacheUpdate: {
         auto *body = msg.body.get<CacheUpdateBody>();
-        loads_[peer] = body->senderLoad;
+        st_.loads[peer] = body->senderLoad;
         CacheUpdateBody b = *body;
         mainExec(cfg_.costs.broadcastHandle, [this, b] {
             if (b.added)
-                directory_.add(b.file, b.node);
+                st_.directory.add(b.file, b.node);
             else
-                directory_.remove(b.file, b.node);
+                st_.directory.remove(b.file, b.node);
         });
         break;
       }
       case MsgCacheInfo: {
         // The handler runs later on the CPU: keep an owning handle.
         auto b = msg.body.cast<CacheInfoBody>();
-        loads_[peer] = b->senderLoad;
+        st_.loads[peer] = b->senderLoad;
         sim::Tick cost = sim::usec(1) + b->files.size() / 5;
         mainExec(cost, [this, b] {
             for (sim::FileId f : b->files)
-                directory_.add(f, b->node);
+                st_.directory.add(f, b->node);
         });
         break;
       }
       case MsgMemberDown: {
         auto *body = msg.body.get<MemberDownBody>();
-        loads_[peer] = body->senderLoad;
-        if (members_.count(body->failed) && body->failed != node_.id())
+        st_.loads[peer] = body->senderLoad;
+        if (st_.members.count(body->failed) && body->failed != node_.id())
             excludeNode(body->failed);
         break;
       }
@@ -448,9 +441,9 @@ void
 Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
 {
     sim::Tick svc = node_.simulation().now();
-    if (cache_->contains(body.file)) {
-        ++stats_.fwdServed;
-        cache_->touch(body.file);
+    if (st_.cache->contains(body.file)) {
+        ++st_.stats.fwdServed;
+        st_.cache->touch(body.file);
         std::uint64_t data =
             cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
         FwdRequestBody b = body;
@@ -464,11 +457,11 @@ Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
 
     // Stale directory at the initial node, or we were picked as the
     // caching node: fetch from disk and start caching the file.
-    ++stats_.fwdMisses;
-    std::uint64_t e = epoch_;
+    ++st_.stats.fwdMisses;
+    std::uint64_t e = st_.epoch;
     FwdRequestBody b = body;
     disk_->read(cfg_.sizeOf(body.file), [this, e, b, svc] {
-        if (e != epoch_ || !alive_)
+        if (e != st_.epoch || !st_.alive)
             return;
         std::uint64_t data =
             cfg_.sizeOf(b.file) + cfg_.fileRespOverheadBytes;
@@ -486,7 +479,7 @@ Server::sendFileData(sim::NodeId initial, sim::RequestId req,
                      sim::Tick service_start)
 {
     FileDataBody body;
-    body.senderLoad = static_cast<std::uint32_t>(outstanding_);
+    body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
     body.req = req;
     body.file = file;
     body.clientPort = client_port;
@@ -502,13 +495,13 @@ Server::sendFileData(sim::NodeId initial, sim::RequestId req,
 void
 Server::handleFileData(const FileDataBody &body)
 {
-    auto it = pendingFwd_.find(body.req);
-    if (it == pendingFwd_.end())
+    auto it = st_.pendingFwd.find(body.req);
+    if (it == st_.pendingFwd.end())
         return; // request was re-dispatched or swept; ignore late data
     std::uint32_t port = it->second.clientPort;
     sim::Tick sent = it->second.reqSentAt;
     sim::Tick acc = it->second.reqAcceptedAt;
-    pendingFwd_.erase(it);
+    st_.pendingFwd.erase(it);
 
     std::uint64_t resp = cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
     sim::RequestId req = body.req;
@@ -528,43 +521,43 @@ Server::handleFileData(const FileDataBody &body)
 void
 Server::onPeerConnected(sim::NodeId peer)
 {
-    bool fresh = members_.insert(peer).second;
-    loads_[peer] = 0;
+    bool fresh = st_.members.insert(peer).second;
+    st_.loads[peer] = 0;
     recomputeRing();
     if (hooks_.onMemberUp)
         hooks_.onMemberUp(node_.id(), peer);
     sim::Trace::log(node_.simulation().now(), "press", "node ",
                     node_.id(), " member up: ", peer);
-    if (fresh && cache_ && cache_->size() > 0)
+    if (fresh && st_.cache && st_.cache->size() > 0)
         sendCacheInfoTo(peer);
 }
 
 void
 Server::onPeerBroken(sim::NodeId peer, proto::BreakReason)
 {
-    if (members_.count(peer))
+    if (st_.members.count(peer))
         excludeNode(peer);
 }
 
 void
 Server::excludeNode(sim::NodeId failed)
 {
-    members_.erase(failed);
-    directory_.purgeNode(failed);
-    loads_.erase(failed);
+    st_.members.erase(failed);
+    st_.directory.purgeNode(failed);
+    st_.loads.erase(failed);
     comm_->disconnect(failed);
     recomputeRing();
 
     // Drop queued traffic to the dead node.
-    std::erase_if(pendingSends_,
+    std::erase_if(st_.pendingSends,
                   [failed](const auto &p) { return p.first == failed; });
 
     // Re-dispatch in-flight requests that were forwarded to it.
     std::vector<PendingFwd> redo;
-    for (auto it = pendingFwd_.begin(); it != pendingFwd_.end();) {
+    for (auto it = st_.pendingFwd.begin(); it != st_.pendingFwd.end();) {
         if (it->second.target == failed) {
             redo.push_back(it->second);
-            it = pendingFwd_.erase(it);
+            it = st_.pendingFwd.erase(it);
         } else {
             ++it;
         }
@@ -582,16 +575,16 @@ Server::excludeNode(sim::NodeId failed)
     // If the main loop was stalled on a send, unstick it: the queued
     // sends to the dead peer were just dropped, and the blocked one
     // (if it targeted this peer) now fails with NotConnected.
-    if (stalled_) {
-        stalled_ = false;
-        stats_.stalledTime += node_.simulation().now() - stallStartedAt_;
+    if (st_.stalled) {
+        st_.stalled = false;
+        st_.stats.stalledTime += node_.simulation().now() - st_.stallStartedAt;
         flushPending();
         pumpMain();
     }
 
     sim::Trace::log(node_.simulation().now(), "press", "node ",
                     node_.id(), " excluded node ", failed,
-                    " (members now ", members_.size(), ")");
+                    " (members now ", st_.members.size(), ")");
     if (hooks_.onExclude)
         hooks_.onExclude(node_.id(), failed);
 }
@@ -599,28 +592,28 @@ Server::excludeNode(sim::NodeId failed)
 void
 Server::recomputeRing()
 {
-    lastHbAt_ = node_.simulation().now();
+    st_.lastHbAt = node_.simulation().now();
 }
 
 sim::NodeId
 Server::ringSuccessor() const
 {
-    if (members_.size() < 2)
+    if (st_.members.size() < 2)
         return sim::invalidNode;
-    auto it = members_.upper_bound(node_.id());
-    if (it == members_.end())
-        it = members_.begin();
+    auto it = st_.members.upper_bound(node_.id());
+    if (it == st_.members.end())
+        it = st_.members.begin();
     return *it;
 }
 
 sim::NodeId
 Server::ringPredecessor() const
 {
-    if (members_.size() < 2)
+    if (st_.members.size() < 2)
         return sim::invalidNode;
-    auto it = members_.find(node_.id());
-    if (it == members_.begin())
-        return *members_.rbegin();
+    auto it = st_.members.find(node_.id());
+    if (it == st_.members.begin())
+        return *st_.members.rbegin();
     return *std::prev(it);
 }
 
@@ -640,17 +633,17 @@ Server::beginColdFormation()
 void
 Server::beginJoinProtocol()
 {
-    joinTries_ = 0;
-    joinResponded_ = false;
+    st_.joinTries = 0;
+    st_.joinResponded = false;
     joinTick();
 }
 
 void
 Server::joinTick()
 {
-    if (joinResponded_)
+    if (st_.joinResponded)
         return;
-    if (joinTries_ >= cfg_.joinAttempts) {
+    if (st_.joinTries >= cfg_.joinAttempts) {
         // "After the recovered node gives up trying to rejoin": it
         // keeps serving as an independent singleton until an operator
         // intervenes.
@@ -660,7 +653,7 @@ Server::joinTick()
             hooks_.onGiveUp(node_.id());
         return;
     }
-    ++joinTries_;
+    ++st_.joinTries;
     for (sim::NodeId p : allNodes_) {
         if (p != node_.id())
             comm_->sendDatagram(p, DgJoinReq);
@@ -675,26 +668,26 @@ Server::onDatagram(sim::NodeId peer, std::uint32_t kind,
     switch (kind) {
       case DgHeartbeat:
         if (peer == ringPredecessor())
-            lastHbAt_ = node_.simulation().now();
+            st_.lastHbAt = node_.simulation().now();
         break;
       case DgJoinReq: {
-        if (members_.count(peer)) {
+        if (st_.members.count(peer)) {
             // The joiner is still in our member list: we have not yet
             // detected its crash, so its rejoin messages are
             // disregarded (the paper's rejoin race).
             return;
         }
-        if (*members_.begin() != node_.id())
+        if (*st_.members.begin() != node_.id())
             return; // only the lowest-ID active member replies
         auto resp = node_.simulation().makePayload<JoinRespBody>();
-        resp->members.assign(members_.begin(), members_.end());
+        resp->members.assign(st_.members.begin(), st_.members.end());
         comm_->sendDatagram(peer, DgJoinResp, std::move(resp));
         break;
       }
       case DgJoinResp: {
-        if (joinResponded_ || !payload)
+        if (st_.joinResponded || !payload)
             return;
-        joinResponded_ = true;
+        st_.joinResponded = true;
         auto *resp = payload.get<JoinRespBody>();
         for (sim::NodeId m : resp->members) {
             if (m != node_.id())
@@ -715,7 +708,7 @@ void
 Server::hbSendTick()
 {
     scheduleEpoch(cfg_.hbPeriod, [this] { hbSendTick(); });
-    if (stopped_ || !node_.up())
+    if (st_.stopped || !node_.up())
         return;
     sim::NodeId succ = ringSuccessor();
     if (succ != sim::invalidNode)
@@ -726,7 +719,7 @@ void
 Server::hbCheckTick()
 {
     scheduleEpoch(cfg_.hbPeriod, [this] { hbCheckTick(); });
-    if (stopped_ || !node_.up())
+    if (st_.stopped || !node_.up())
         return;
     sim::NodeId pred = ringPredecessor();
     if (pred == sim::invalidNode)
@@ -734,7 +727,7 @@ Server::hbCheckTick()
     sim::Tick now = node_.simulation().now();
     sim::Tick limit =
         cfg_.hbPeriod * static_cast<sim::Tick>(cfg_.hbMissThreshold);
-    if (now - lastHbAt_ <= limit)
+    if (now - st_.lastHbAt <= limit)
         return;
 
     // Three consecutive heartbeats missed: declare the predecessor
@@ -742,12 +735,12 @@ Server::hbCheckTick()
     sim::Trace::log(now, "press", "node ", node_.id(),
                     " heartbeat timeout for node ", pred);
     excludeNode(pred);
-    std::vector<sim::NodeId> targets(members_.begin(), members_.end());
+    std::vector<sim::NodeId> targets(st_.members.begin(), st_.members.end());
     for (sim::NodeId m : targets) {
-        if (m == node_.id() || !alive_)
+        if (m == node_.id() || !st_.alive)
             continue;
         MemberDownBody body;
-        body.senderLoad = static_cast<std::uint32_t>(outstanding_);
+        body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
         body.failed = pred;
         proto::AppMessage msg;
         msg.type = MsgMemberDown;
@@ -764,26 +757,27 @@ Server::hbCheckTick()
 void
 Server::mainExec(sim::Tick cost, std::function<void()> fn)
 {
-    if (!alive_)
+    if (!st_.alive)
         return;
-    mainQ_.push_back(MainItem{cost, std::move(fn)});
+    st_.mainQ.push_back(MainItem{cost, std::move(fn)});
     pumpMain();
 }
 
 void
 Server::pumpMain()
 {
-    if (mainBusy_ || stalled_ || stopped_ || !alive_ || mainQ_.empty())
+    if (st_.mainBusy || st_.stalled || st_.stopped || !st_.alive ||
+        st_.mainQ.empty())
         return;
-    mainBusy_ = true;
-    MainItem item = std::move(mainQ_.front());
-    mainQ_.pop_front();
-    std::uint64_t e = epoch_;
+    st_.mainBusy = true;
+    MainItem item = std::move(st_.mainQ.front());
+    st_.mainQ.pop_front();
+    std::uint64_t e = st_.epoch;
     node_.cpu().exec(item.cost, [this, e, fn = std::move(item.fn)] {
-        if (e != epoch_)
-            return; // process restarted; terminate() reset mainBusy_
-        mainBusy_ = false;
-        if (alive_)
+        if (e != st_.epoch)
+            return; // process restarted; terminate() reset st_.mainBusy
+        st_.mainBusy = false;
+        if (st_.alive)
             fn();
         pumpMain();
     });
@@ -798,13 +792,13 @@ Server::membershipProbeTick()
 {
     scheduleEpoch(cfg_.membershipProbeInterval,
                   [this] { membershipProbeTick(); });
-    if (stopped_ || !node_.up())
+    if (st_.stopped || !node_.up())
         return;
     for (sim::NodeId p : allNodes_) {
         // Only the higher-ID side of a missing pair probes (the same
         // asymmetry as cold-start formation); simultaneous connects
         // from both ends would race each other's endpoint state.
-        if (p >= node_.id() || members_.count(p) || comm_->connected(p))
+        if (p >= node_.id() || st_.members.count(p) || comm_->connected(p))
             continue;
         // Reconnection doubles as the membership repair: established
         // connections re-add the peer and exchange caching info
@@ -820,10 +814,10 @@ Server::membershipProbeTick()
 void
 Server::sendOrQueue(sim::NodeId peer, proto::AppMessage msg)
 {
-    if (!alive_)
+    if (!st_.alive)
         return;
-    if (stalled_) {
-        pendingSends_.emplace_back(peer, std::move(msg));
+    if (st_.stalled) {
+        st_.pendingSends.emplace_back(peer, std::move(msg));
         return;
     }
     switch (comm_->send(peer, msg, {})) {
@@ -831,10 +825,10 @@ Server::sendOrQueue(sim::NodeId peer, proto::AppMessage msg)
         break;
       case proto::SendStatus::WouldBlock:
         // The send-thread queue is full: the main thread blocks.
-        pendingSends_.emplace_front(peer, std::move(msg));
-        stalled_ = true;
-        ++stats_.stallEvents;
-        stallStartedAt_ = node_.simulation().now();
+        st_.pendingSends.emplace_front(peer, std::move(msg));
+        st_.stalled = true;
+        ++st_.stats.stallEvents;
+        st_.stallStartedAt = node_.simulation().now();
         break;
       case proto::SendStatus::NotConnected:
         break; // membership changes will clean this up
@@ -850,10 +844,10 @@ Server::sendOrQueue(sim::NodeId peer, proto::AppMessage msg)
 void
 Server::onSendReady()
 {
-    if (!stalled_)
+    if (!st_.stalled)
         return;
-    stalled_ = false;
-    stats_.stalledTime += node_.simulation().now() - stallStartedAt_;
+    st_.stalled = false;
+    st_.stats.stalledTime += node_.simulation().now() - st_.stallStartedAt;
     flushPending();
     pumpMain();
 }
@@ -861,17 +855,17 @@ Server::onSendReady()
 void
 Server::flushPending()
 {
-    while (!pendingSends_.empty() && !stalled_ && alive_) {
-        auto [peer, msg] = std::move(pendingSends_.front());
-        pendingSends_.pop_front();
+    while (!st_.pendingSends.empty() && !st_.stalled && st_.alive) {
+        auto [peer, msg] = std::move(st_.pendingSends.front());
+        st_.pendingSends.pop_front();
         switch (comm_->send(peer, msg, {})) {
           case proto::SendStatus::Ok:
             break;
           case proto::SendStatus::WouldBlock:
-            pendingSends_.emplace_front(peer, std::move(msg));
-            stalled_ = true;
-            ++stats_.stallEvents;
-            stallStartedAt_ = node_.simulation().now();
+            st_.pendingSends.emplace_front(peer, std::move(msg));
+            st_.stalled = true;
+            ++st_.stats.stallEvents;
+            st_.stallStartedAt = node_.simulation().now();
             return;
           case proto::SendStatus::NotConnected:
             break;
@@ -889,12 +883,12 @@ void
 Server::broadcastCacheUpdate(sim::FileId file, bool added)
 {
     // Snapshot: a fatal send below tears down the member set.
-    std::vector<sim::NodeId> targets(members_.begin(), members_.end());
+    std::vector<sim::NodeId> targets(st_.members.begin(), st_.members.end());
     for (sim::NodeId m : targets) {
-        if (m == node_.id() || !alive_)
+        if (m == node_.id() || !st_.alive)
             continue;
         CacheUpdateBody body;
-        body.senderLoad = static_cast<std::uint32_t>(outstanding_);
+        body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
         body.node = node_.id();
         body.file = file;
         body.added = added;
@@ -902,7 +896,7 @@ Server::broadcastCacheUpdate(sim::FileId file, bool added)
         msg.type = MsgCacheUpdate;
         msg.bytes = cfg_.cacheUpdateBytes;
         msg.body = node_.simulation().makePayload<CacheUpdateBody>(body);
-        ++stats_.broadcastsSent;
+        ++st_.stats.broadcastsSent;
         sendOrQueue(m, std::move(msg));
     }
 }
@@ -916,8 +910,8 @@ Server::sendCacheInfoTo(sim::NodeId peer)
     // Snapshot the cache contents: a send below can fail fatally (an
     // armed bad-parameter fault), which terminates the process and
     // clears the cache out from under a live iterator.
-    std::vector<sim::FileId> files(cache_->files().begin(),
-                                   cache_->files().end());
+    std::vector<sim::FileId> files(st_.cache->files().begin(),
+                                   st_.cache->files().end());
     CacheInfoBody chunk;
     chunk.node = node_.id();
     for (sim::FileId f : files) {
@@ -926,19 +920,19 @@ Server::sendCacheInfoTo(sim::NodeId peer)
             proto::AppMessage msg;
             msg.type = MsgCacheInfo;
             msg.bytes = chunk.files.size() * cfg_.cacheInfoEntryBytes;
-            chunk.senderLoad = static_cast<std::uint32_t>(outstanding_);
+            chunk.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
             msg.body = node_.simulation().makePayload<CacheInfoBody>(chunk);
             sendOrQueue(peer, std::move(msg));
-            if (!alive_)
+            if (!st_.alive)
                 return; // the send fail-fasted the process
             chunk.files.clear();
         }
     }
-    if (alive_ && !chunk.files.empty()) {
+    if (st_.alive && !chunk.files.empty()) {
         proto::AppMessage msg;
         msg.type = MsgCacheInfo;
         msg.bytes = chunk.files.size() * cfg_.cacheInfoEntryBytes;
-        chunk.senderLoad = static_cast<std::uint32_t>(outstanding_);
+        chunk.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
         msg.body =
             node_.simulation().makePayload<CacheInfoBody>(std::move(chunk));
         sendOrQueue(peer, std::move(msg));
@@ -952,18 +946,18 @@ Server::sendCacheInfoTo(sim::NodeId peer)
 void
 Server::cacheInsert(sim::FileId f)
 {
-    if (cache_->contains(f)) {
-        cache_->touch(f);
+    if (st_.cache->contains(f)) {
+        st_.cache->touch(f);
         return;
     }
-    bool ok = cache_->insert(f, [this](sim::FileId victim) {
-        ++stats_.cacheEvictions;
-        directory_.remove(victim, node_.id());
+    bool ok = st_.cache->insert(f, [this](sim::FileId victim) {
+        ++st_.stats.cacheEvictions;
+        st_.directory.remove(victim, node_.id());
         broadcastCacheUpdate(victim, false);
     });
     if (ok) {
-        ++stats_.cacheInserts;
-        directory_.add(f, node_.id());
+        ++st_.stats.cacheInserts;
+        st_.directory.add(f, node_.id());
         broadcastCacheUpdate(f, true);
     }
 }
@@ -971,11 +965,11 @@ Server::cacheInsert(sim::FileId f)
 void
 Server::prewarmFile(sim::FileId f, sim::NodeId owner)
 {
-    if (!alive_)
+    if (!st_.alive)
         return;
     if (owner == node_.id())
-        cache_->insert(f, nullptr);
-    directory_.add(f, owner);
+        st_.cache->insert(f, nullptr);
+    st_.directory.add(f, owner);
 }
 
 sim::NodeId
@@ -998,9 +992,9 @@ std::uint32_t
 Server::loadOf(sim::NodeId n) const
 {
     if (n == node_.id())
-        return static_cast<std::uint32_t>(outstanding_);
-    auto it = loads_.find(n);
-    return it == loads_.end() ? 0 : it->second;
+        return static_cast<std::uint32_t>(st_.outstanding);
+    auto it = st_.loads.find(n);
+    return it == st_.loads.end() ? 0 : it->second;
 }
 
 // ---------------------------------------------------------------------
@@ -1012,81 +1006,14 @@ Server::sweepTick()
 {
     scheduleEpoch(sim::sec(2), [this] { sweepTick(); });
     sim::Tick now = node_.simulation().now();
-    for (auto it = pendingFwd_.begin(); it != pendingFwd_.end();) {
+    for (auto it = st_.pendingFwd.begin(); it != st_.pendingFwd.end();) {
         if (now - it->second.sentAt > sim::sec(10)) {
-            it = pendingFwd_.erase(it);
+            it = st_.pendingFwd.erase(it);
             finishRequest(); // the client has long since timed out
         } else {
             ++it;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Snapshot support
-// ---------------------------------------------------------------------
-
-Server::Saved
-Server::save() const
-{
-    Saved s;
-    s.alive = alive_;
-    s.stopped = stopped_;
-    s.coldStart = coldStart_;
-    s.epoch = epoch_;
-    s.members = members_;
-    s.loads = loads_;
-    s.directory = directory_;
-    s.hasCache = cache_ != nullptr;
-    if (cache_)
-        s.cacheFiles = cache_->files();
-    s.disk = disk_->save();
-    s.pendingFwd = pendingFwd_;
-    s.outstanding = outstanding_;
-    s.pendingSends = pendingSends_;
-    s.stalled = stalled_;
-    s.mainQ = mainQ_;
-    s.mainBusy = mainBusy_;
-    s.joinTries = joinTries_;
-    s.joinResponded = joinResponded_;
-    s.lastHbAt = lastHbAt_;
-    s.stats = stats_;
-    s.stallStartedAt = stallStartedAt_;
-    return s;
-}
-
-void
-Server::restore(const Saved &s)
-{
-    alive_ = s.alive;
-    stopped_ = s.stopped;
-    coldStart_ = s.coldStart;
-    epoch_ = s.epoch;
-    members_ = s.members;
-    loads_ = s.loads;
-    directory_ = s.directory;
-    if (s.hasCache) {
-        // Recreate the cache so it carries the same pin-hook closures
-        // a fresh start() would install, then rebuild its contents
-        // without firing the hooks — the pin accounting is rewound
-        // wholesale by the node's PinManager / VIA endpoint state.
-        makeFreshCache();
-        cache_->restoreFiles(s.cacheFiles);
-    } else {
-        cache_.reset();
-    }
-    disk_->restore(s.disk);
-    pendingFwd_ = s.pendingFwd;
-    outstanding_ = s.outstanding;
-    pendingSends_ = s.pendingSends;
-    stalled_ = s.stalled;
-    mainQ_ = s.mainQ;
-    mainBusy_ = s.mainBusy;
-    joinTries_ = s.joinTries;
-    joinResponded_ = s.joinResponded;
-    lastHbAt_ = s.lastHbAt;
-    stats_ = s.stats;
-    stallStartedAt_ = s.stallStartedAt;
 }
 
 } // namespace performa::press

@@ -38,9 +38,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -96,25 +96,29 @@ class Server : public osim::Service
     void sigStop() override;
     void sigCont() override;
     void terminate(bool silent) override;
-    bool alive() const override { return alive_; }
+    bool alive() const override { return st_.alive; }
 
     /** Arm bad-parameter faults through the interposition layer. */
     proto::FaultInterposer &interposer() { return *comm_; }
 
     /** Next start() performs initial cluster formation, not a rejoin. */
-    void markColdStart() { coldStart_ = true; }
+    void markColdStart() { st_.coldStart = true; }
 
     void setHooks(ServerHooks hooks) { hooks_ = std::move(hooks); }
 
     // Introspection (tests, experiments) ------------------------------
-    const std::set<sim::NodeId> &members() const { return members_; }
-    bool stoppedBySignal() const { return stopped_; }
-    bool stalled() const { return stalled_; }
-    std::size_t cachedFiles() const { return cache_ ? cache_->size() : 0; }
-    std::uint64_t served() const { return stats_.responses; }
+    const std::set<sim::NodeId> &members() const { return st_.members; }
+    bool stoppedBySignal() const { return st_.stopped; }
+    bool stalled() const { return st_.stalled; }
+    std::size_t
+    cachedFiles() const
+    {
+        return st_.cache ? st_.cache->size() : 0;
+    }
+    std::uint64_t served() const { return st_.stats.responses; }
 
     /** Monotonic per-server counters (survive process restarts). */
-    const ServerStats &stats() const { return stats_; }
+    const ServerStats &stats() const { return st_.stats; }
     const PressConfig &config() const { return cfg_; }
     osim::Node &node() { return node_; }
 
@@ -126,15 +130,12 @@ class Server : public osim::Service
      */
     void prewarmFile(sim::FileId f, sim::NodeId owner);
 
-    /** Snapshot state: everything mutable in the process — membership,
-     *  directory, cache contents, queued work, counters. The comm
-     *  endpoint below us saves itself via its own hook. */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
+    /** The node's disks (a snapshot attaches them with the server). */
+    DiskArray &disk() { return *disk_; }
 
   private:
+    friend class sim::SnapshotRegistry;
+
     // -- client side ---------------------------------------------------
     void onClientFrame(net::Frame &&f);
     void dispatch(const ClientRequestBody &req);
@@ -205,7 +206,7 @@ class Server : public osim::Service
     /**
      * Queue work for the main coordinating thread. The main loop
      * stops draining while the thread is blocked on a send
-     * (@c stalled_) or SIGSTOPped; kernel and helper-thread work
+     * (@c State::stalled) or SIGSTOPped; kernel and helper-thread work
      * (stack deliveries, acks, credit returns) keeps running on the
      * CPU regardless, mirroring PRESS's helper-thread structure.
      */
@@ -217,12 +218,6 @@ class Server : public osim::Service
     void scheduleEpoch(sim::Tick delay, std::function<void()> fn);
     void sweepTick();
 
-    /**
-     * (Re)create the cache with the version-appropriate pin hooks.
-     * Used by start() and by snapshot restore so a restored cache gets
-     * the exact same hook closures a fresh start would install.
-     */
-    void makeFreshCache();
 
     osim::Node &node_;
     PressConfig cfg_;
@@ -230,20 +225,8 @@ class Server : public osim::Service
     std::vector<sim::NodeId> allNodes_;
     ServerHooks hooks_;
 
-    // process state
-    bool alive_ = false;
-    bool stopped_ = false;
-    bool coldStart_ = true;
-    std::uint64_t epoch_ = 0;
-
-    // cluster state
-    std::set<sim::NodeId> members_;
-    std::map<sim::NodeId, std::uint32_t> loads_;
-    Directory directory_;
-    std::unique_ptr<FileCache> cache_;
     std::unique_ptr<DiskArray> disk_;
 
-    // request state
     struct PendingFwd
     {
         sim::FileId file;
@@ -256,73 +239,64 @@ class Server : public osim::Service
         sim::Tick reqSentAt = 0;
         sim::Tick reqAcceptedAt = 0;
     };
-    // Ordered: excludeNode() re-dispatches entries in iteration order
-    // (scheduling main-loop work per entry) and sweepTick() walks it,
-    // so the order must be deterministic for byte-identical runs.
-    std::map<sim::RequestId, PendingFwd> pendingFwd_;
-    std::size_t outstanding_ = 0;
 
-    // blocking-send state
-    std::deque<std::pair<sim::NodeId, proto::AppMessage>> pendingSends_;
-    bool stalled_ = false;
-
-    // main-loop queue
     struct MainItem
     {
         sim::Tick cost;
         std::function<void()> fn;
     };
-    std::deque<MainItem> mainQ_;
-    bool mainBusy_ = false;
 
-    // join state
-    int joinTries_ = 0;
-    bool joinResponded_ = false;
+    /**
+     * Snapshot state: everything mutable in the process — membership,
+     * directory, cache contents, queued work, counters. The comm
+     * endpoint below us and the disks carry their own State.
+     */
+    struct State
+    {
+        // process state
+        bool alive = false;
+        bool stopped = false;
+        bool coldStart = true;
+        std::uint64_t epoch = 0;
 
-    // heartbeat state
-    sim::Tick lastHbAt_ = 0;
+        // cluster state
+        std::set<sim::NodeId> members;
+        std::map<sim::NodeId, std::uint32_t> loads;
+        Directory directory;
+        /** Empty until the first start(); the pin hooks capture only
+         *  this server and its VIA endpoint, so a copy stays valid. */
+        std::optional<FileCache> cache;
 
-    // stats
-    ServerStats stats_;
-    sim::Tick stallStartedAt_ = 0;
-};
+        // request state
+        // Ordered: excludeNode() re-dispatches entries in iteration
+        // order (scheduling main-loop work per entry) and sweepTick()
+        // walks it, so the order must be deterministic for
+        // byte-identical runs.
+        std::map<sim::RequestId, PendingFwd> pendingFwd;
+        std::size_t outstanding = 0;
 
-struct Server::Saved
-{
-    // process state
-    bool alive;
-    bool stopped;
-    bool coldStart;
-    std::uint64_t epoch;
+        // blocking-send state
+        std::deque<std::pair<sim::NodeId, proto::AppMessage>>
+            pendingSends;
+        bool stalled = false;
 
-    // cluster state
-    std::set<sim::NodeId> members;
-    std::map<sim::NodeId, std::uint32_t> loads;
-    Directory directory;
-    bool hasCache;                      ///< cache_ existed (post-start)
-    std::list<sim::FileId> cacheFiles;  ///< MRU-to-LRU contents
-    DiskArray::Saved disk;
+        // main-loop queue (fn closures are copyable by construction)
+        std::deque<MainItem> mainQ;
+        bool mainBusy = false;
 
-    // request state
-    std::map<sim::RequestId, PendingFwd> pendingFwd;
-    std::size_t outstanding;
+        // join state
+        int joinTries = 0;
+        bool joinResponded = false;
 
-    // blocking-send state
-    std::deque<std::pair<sim::NodeId, proto::AppMessage>> pendingSends;
-    bool stalled;
+        // heartbeat state
+        sim::Tick lastHbAt = 0;
 
-    // main-loop queue (fn closures are copyable by construction)
-    std::deque<MainItem> mainQ;
-    bool mainBusy;
+        // stats
+        ServerStats stats;
+        sim::Tick stallStartedAt = 0;
+    };
 
-    // join + heartbeat state
-    int joinTries;
-    bool joinResponded;
-    sim::Tick lastHbAt;
-
-    // stats
-    ServerStats stats;
-    sim::Tick stallStartedAt;
+    State st_;
 };
 
 } // namespace performa::press

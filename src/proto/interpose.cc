@@ -11,11 +11,11 @@ FaultInterposer::setCallbacks(CommCallbacks cbs)
 
     CommCallbacks wrapped = userCbs_;
     wrapped.onMessage = [this](sim::NodeId peer, AppMessage &&msg) {
-        if (armedRecv_) {
+        if (st_.armedRecv) {
             // The receive call ran with a corrupted buffer descriptor:
             // the library reports a fatal error instead of data (EFAULT
             // for sockets, an error-status completion for VIPL).
-            armedRecv_.reset();
+            st_.armedRecv.reset();
             if (userCbs_.onFatalError)
                 userCbs_.onFatalError(
                     "receive call failed: corrupted buffer parameters");
@@ -32,19 +32,19 @@ FaultInterposer::send(sim::NodeId peer, AppMessage msg,
                       const SendParams &params)
 {
     SendParams p = params;
-    if (armedSend_) {
-        switch (*armedSend_) {
+    if (st_.armedSend) {
+        switch (*st_.armedSend) {
           case Corruption::NullPointer:
             p.nullPointer = true;
             break;
           case Corruption::OffByNPtr:
-            p.ptrOffset = armedN_;
+            p.ptrOffset = st_.armedN;
             break;
           case Corruption::OffByNSize:
-            p.sizeDelta = armedN_;
+            p.sizeDelta = st_.armedN;
             break;
         }
-        armedSend_.reset();
+        st_.armedSend.reset();
     }
     return inner_->send(peer, std::move(msg), p);
 }

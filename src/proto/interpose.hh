@@ -16,6 +16,10 @@
 
 #include "proto/comm.hh"
 
+namespace performa::sim {
+class SnapshotRegistry;
+}
+
 namespace performa::proto {
 
 /** The three corrupted-parameter classes studied in the paper. */
@@ -45,8 +49,8 @@ class FaultInterposer : public ClusterComm
     void
     armSend(Corruption kind, int n = 16)
     {
-        armedSend_ = kind;
-        armedN_ = n;
+        st_.armedSend = kind;
+        st_.armedN = n;
     }
 
     /**
@@ -56,12 +60,12 @@ class FaultInterposer : public ClusterComm
      */
     void armRecv(Corruption kind, int n = 16)
     {
-        armedRecv_ = kind;
-        armedN_ = n;
+        st_.armedRecv = kind;
+        st_.armedN = n;
     }
 
-    bool sendArmed() const { return armedSend_.has_value(); }
-    bool recvArmed() const { return armedRecv_.has_value(); }
+    bool sendArmed() const { return st_.armedSend.has_value(); }
+    bool recvArmed() const { return st_.armedRecv.has_value(); }
 
     ClusterComm &inner() { return *inner_; }
 
@@ -105,31 +109,22 @@ class FaultInterposer : public ClusterComm
         return inner_->sendCost(bytes);
     }
 
+  private:
+    friend class sim::SnapshotRegistry;
+
+    std::unique_ptr<ClusterComm> inner_;
+    CommCallbacks userCbs_;
+
     /** Snapshot state: the armed-corruption latches (the inner comm
-     *  endpoint is saved by its own hook). */
-    struct Saved
+     *  endpoint carries its own State). */
+    struct State
     {
         std::optional<Corruption> armedSend;
         std::optional<Corruption> armedRecv;
-        int armedN;
+        int armedN = 16;
     };
 
-    Saved save() const { return Saved{armedSend_, armedRecv_, armedN_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        armedSend_ = s.armedSend;
-        armedRecv_ = s.armedRecv;
-        armedN_ = s.armedN;
-    }
-
-  private:
-    std::unique_ptr<ClusterComm> inner_;
-    CommCallbacks userCbs_;
-    std::optional<Corruption> armedSend_;
-    std::optional<Corruption> armedRecv_;
-    int armedN_ = 16;
+    State st_;
 };
 
 } // namespace performa::proto

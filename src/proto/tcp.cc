@@ -44,11 +44,11 @@ TcpComm::peerOfPort(net::PortId port) const
 TcpComm::Conn *
 TcpComm::findByPeer(sim::NodeId peer)
 {
-    auto it = active_.find(peer);
-    if (it == active_.end())
+    auto it = st_.active.find(peer);
+    if (it == st_.active.end())
         return nullptr;
-    auto cit = conns_.find(it->second);
-    return cit == conns_.end() ? nullptr : &cit->second;
+    auto cit = st_.conns.find(it->second);
+    return cit == st_.conns.end() ? nullptr : &cit->second;
 }
 
 const TcpComm::Conn *
@@ -68,41 +68,41 @@ TcpComm::sendCost(std::uint64_t bytes) const
 void
 TcpComm::start()
 {
-    listening_ = true;
-    appReceiving_ = true;
+    st_.listening = true;
+    st_.appReceiving = true;
 }
 
 void
 TcpComm::reset()
 {
     auto &sim = node_.simulation();
-    for (auto &[id, c] : conns_) {
+    for (auto &[id, c] : st_.conns) {
         sim.events().cancel(c.rtoTimer);
         sim.events().cancel(c.memRetryTimer);
         sim.events().cancel(c.synTimer);
         if (c.skbufHeld && !c.sndQueue.empty())
             node_.kernelMem().free(c.sndQueue.front().wireBytes);
     }
-    conns_.clear();
-    active_.clear();
+    st_.conns.clear();
+    st_.active.clear();
 }
 
 void
 TcpComm::disconnect(sim::NodeId peer)
 {
-    auto it = active_.find(peer);
-    if (it == active_.end())
+    auto it = st_.active.find(peer);
+    if (it == st_.active.end())
         return;
     std::uint64_t id = it->second;
-    auto cit = conns_.find(id);
-    if (cit == conns_.end()) {
-        active_.erase(it);
+    auto cit = st_.conns.find(id);
+    if (cit == st_.conns.end()) {
+        st_.active.erase(it);
         return;
     }
     // App-initiated close: reset the wire side, no break callback.
     Conn c = std::move(cit->second);
-    conns_.erase(cit);
-    active_.erase(it);
+    st_.conns.erase(cit);
+    st_.active.erase(it);
     auto &sim = node_.simulation();
     sim.events().cancel(c.rtoTimer);
     sim.events().cancel(c.memRetryTimer);
@@ -118,27 +118,27 @@ void
 TcpComm::shutdown()
 {
     // Process exit: the OS closes the sockets, so peers get resets.
-    for (auto &[id, c] : conns_) {
+    for (auto &[id, c] : st_.conns) {
         if (c.established)
             sendRawRst(c.peer, c.id);
     }
     reset();
-    listening_ = false;
+    st_.listening = false;
 }
 
 void
 TcpComm::vanish()
 {
     reset();
-    listening_ = false;
+    st_.listening = false;
 }
 
 void
 TcpComm::setAppReceiving(bool on)
 {
-    appReceiving_ = on;
+    st_.appReceiving = on;
     if (on) {
-        for (auto &[id, c] : conns_)
+        for (auto &[id, c] : st_.conns)
             scheduleDeliveries(c);
     }
 }
@@ -147,12 +147,12 @@ void
 TcpComm::connect(sim::NodeId peer)
 {
     std::uint64_t id = node_.simulation().allocId();
-    Conn &c = conns_[id];
+    Conn &c = st_.conns[id];
     c.id = id;
     c.peer = peer;
     c.rto = cfg_.rtoInitial;
     c.rcvQueue.reserve(cfg_.rcvQueueMsgs);
-    active_[peer] = id;
+    st_.active[peer] = id;
 
     net::Frame syn;
     syn.srcPort = node_.intraPort();
@@ -172,15 +172,15 @@ TcpComm::connect(sim::NodeId peer)
 void
 TcpComm::handleSynRetry(std::uint64_t id)
 {
-    auto it = conns_.find(id);
-    if (it == conns_.end() || it->second.established)
+    auto it = st_.conns.find(id);
+    if (it == st_.conns.end() || it->second.established)
         return;
     Conn &cc = it->second;
     if (cc.synTries >= cfg_.connectRetries) {
         sim::NodeId p = cc.peer;
-        if (active_.count(p) && active_[p] == id)
-            active_.erase(p);
-        conns_.erase(it);
+        if (st_.active.count(p) && st_.active[p] == id)
+            st_.active.erase(p);
+        st_.conns.erase(it);
         if (cbs_.onConnectFailed)
             cbs_.onConnectFailed(p);
         return;
@@ -280,8 +280,8 @@ TcpComm::pump(Conn &c)
             std::uint64_t id = c.id;
             c.memRetryTimer = node_.simulation().scheduleIn(
                 sim::msec(10), [this, id] {
-                    auto it = conns_.find(id);
-                    if (it != conns_.end())
+                    auto it = st_.conns.find(id);
+                    if (it != st_.conns.end())
                         pump(it->second);
                 });
             return;
@@ -316,8 +316,8 @@ TcpComm::armRto(Conn &c)
 void
 TcpComm::onRtoFired(std::uint64_t conn_id)
 {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end())
+    auto it = st_.conns.find(conn_id);
+    if (it == st_.conns.end())
         return;
     Conn &c = it->second;
     if (!c.inFlight)
@@ -354,13 +354,13 @@ void
 TcpComm::abortConn(std::uint64_t conn_id, BreakReason reason,
                    bool send_rst)
 {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end())
+    auto it = st_.conns.find(conn_id);
+    if (it == st_.conns.end())
         return;
     Conn c = std::move(it->second);
-    conns_.erase(it);
-    if (active_.count(c.peer) && active_[c.peer] == conn_id)
-        active_.erase(c.peer);
+    st_.conns.erase(it);
+    if (st_.active.count(c.peer) && st_.active[c.peer] == conn_id)
+        st_.active.erase(c.peer);
 
     auto &sim = node_.simulation();
     sim.events().cancel(c.rtoTimer);
@@ -405,13 +405,13 @@ TcpComm::handleFrame(net::Frame &&f)
         return;
 
     if (f.proto == net::Proto::Datagram) {
-        if (!listening_ || !appReceiving_)
+        if (!st_.listening || !st_.appReceiving)
             return;
         sim::NodeId peer = peerOfPort(f.srcPort);
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
-                if (listening_ && appReceiving_ && cbs_.onDatagram)
+                if (st_.listening && st_.appReceiving && cbs_.onDatagram)
                     cbs_.onDatagram(peer, kind, payload);
             });
         return;
@@ -442,14 +442,14 @@ void
 TcpComm::handleSyn(const net::Frame &f)
 {
     sim::NodeId peer = peerOfPort(f.srcPort);
-    if (!listening_) {
+    if (!st_.listening) {
         sendRawRst(peer, f.conn);
         return;
     }
     // Replace any stale connection to this peer.
-    if (auto it = active_.find(peer); it != active_.end()) {
-        auto cit = conns_.find(it->second);
-        if (cit != conns_.end() && !cit->second.established &&
+    if (auto it = st_.active.find(peer); it != st_.active.end()) {
+        auto cit = st_.conns.find(it->second);
+        if (cit != st_.conns.end() && !cit->second.established &&
             peer > node_.id()) {
             // Simultaneous-connect tie-break: the lower node id's SYN
             // wins; the higher id ignores the incoming one and lets
@@ -457,7 +457,7 @@ TcpComm::handleSyn(const net::Frame &f)
             return;
         }
         bool was_blocked = false;
-        if (cit != conns_.end()) {
+        if (cit != st_.conns.end()) {
             was_blocked = cit->second.senderBlocked;
             auto &sim = node_.simulation();
             sim.events().cancel(cit->second.rtoTimer);
@@ -466,22 +466,22 @@ TcpComm::handleSyn(const net::Frame &f)
             if (cit->second.skbufHeld && !cit->second.sndQueue.empty())
                 node_.kernelMem().free(
                     cit->second.sndQueue.front().wireBytes);
-            conns_.erase(cit);
+            st_.conns.erase(cit);
         }
-        active_.erase(it);
+        st_.active.erase(it);
         // A sender blocked on the replaced connection must retry on
         // the new one.
         if (was_blocked && cbs_.onSendReady)
             cbs_.onSendReady();
     }
 
-    Conn &c = conns_[f.conn];
+    Conn &c = st_.conns[f.conn];
     c.id = f.conn;
     c.peer = peer;
     c.established = true;
     c.rto = cfg_.rtoInitial;
     c.rcvQueue.reserve(cfg_.rcvQueueMsgs);
-    active_[peer] = f.conn;
+    st_.active[peer] = f.conn;
 
     net::Frame ack;
     ack.srcPort = node_.intraPort();
@@ -499,8 +499,8 @@ TcpComm::handleSyn(const net::Frame &f)
 void
 TcpComm::handleSynAck(const net::Frame &f)
 {
-    auto it = conns_.find(f.conn);
-    if (it == conns_.end() || it->second.established)
+    auto it = st_.conns.find(f.conn);
+    if (it == st_.conns.end() || it->second.established)
         return;
     Conn &c = it->second;
     c.established = true;
@@ -513,17 +513,17 @@ TcpComm::handleSynAck(const net::Frame &f)
 void
 TcpComm::handleRst(const net::Frame &f)
 {
-    auto it = conns_.find(f.conn);
-    if (it == conns_.end())
+    auto it = st_.conns.find(f.conn);
+    if (it == st_.conns.end())
         return;
     Conn &c = it->second;
     if (!c.established) {
         // Connect refused.
         sim::NodeId peer = c.peer;
         node_.simulation().events().cancel(c.synTimer);
-        if (active_.count(peer) && active_[peer] == f.conn)
-            active_.erase(peer);
-        conns_.erase(it);
+        if (st_.active.count(peer) && st_.active[peer] == f.conn)
+            st_.active.erase(peer);
+        st_.conns.erase(it);
         if (cbs_.onConnectFailed)
             cbs_.onConnectFailed(peer);
         return;
@@ -534,8 +534,8 @@ TcpComm::handleRst(const net::Frame &f)
 void
 TcpComm::handleData(net::Frame &&f)
 {
-    auto it = conns_.find(f.conn);
-    if (it == conns_.end()) {
+    auto it = st_.conns.find(f.conn);
+    if (it == st_.conns.end()) {
         // Segment for a connection this incarnation does not know.
         sendRawRst(peerOfPort(f.srcPort), f.conn);
         return;
@@ -590,8 +590,8 @@ TcpComm::handleData(net::Frame &&f)
 void
 TcpComm::handleAck(const net::Frame &f)
 {
-    auto it = conns_.find(f.conn);
-    if (it == conns_.end())
+    auto it = st_.conns.find(f.conn);
+    if (it == st_.conns.end())
         return;
     Conn &c = it->second;
     if (!c.inFlight || c.sndQueue.empty() ||
@@ -612,54 +612,6 @@ TcpComm::handleAck(const net::Frame &f)
     pump(c);
 }
 
-TcpComm::Conn
-TcpComm::cloneConn(const Conn &c)
-{
-    Conn out;
-    out.id = c.id;
-    out.peer = c.peer;
-    out.established = c.established;
-    out.sndQueue = c.sndQueue.clone();
-    out.sndBytes = c.sndBytes;
-    out.seqNext = c.seqNext;
-    out.inFlight = c.inFlight;
-    out.skbufHeld = c.skbufHeld;
-    out.rto = c.rto;
-    out.firstFailAt = c.firstFailAt;
-    out.rtoTimer = c.rtoTimer;
-    out.memRetryTimer = c.memRetryTimer;
-    out.senderBlocked = c.senderBlocked;
-    out.synTries = c.synTries;
-    out.synTimer = c.synTimer;
-    out.seqExpected = c.seqExpected;
-    out.rcvQueue = c.rcvQueue.clone();
-    out.scheduledDeliveries = c.scheduledDeliveries;
-    return out;
-}
-
-TcpComm::Saved
-TcpComm::save() const
-{
-    Saved s;
-    s.listening = listening_;
-    s.appReceiving = appReceiving_;
-    for (const auto &[id, c] : conns_)
-        s.conns.emplace(id, cloneConn(c));
-    s.active = active_;
-    return s;
-}
-
-void
-TcpComm::restore(const Saved &s)
-{
-    listening_ = s.listening;
-    appReceiving_ = s.appReceiving;
-    conns_.clear();
-    for (const auto &[id, c] : s.conns)
-        conns_.emplace(id, cloneConn(c));
-    active_ = s.active;
-}
-
 void
 TcpComm::maybeUnblockSender(Conn &c)
 {
@@ -673,7 +625,7 @@ TcpComm::maybeUnblockSender(Conn &c)
 void
 TcpComm::scheduleDeliveries(Conn &c)
 {
-    if (!appReceiving_)
+    if (!st_.appReceiving)
         return;
     std::uint64_t id = c.id;
     while (c.scheduledDeliveries < c.rcvQueue.size()) {
@@ -683,12 +635,12 @@ TcpComm::scheduleDeliveries(Conn &c)
             static_cast<sim::Tick>(cfg_.costs.recvPerKb *
                 static_cast<double>(in.msg.bytes) / 1024.0);
         node_.cpu().exec(cost, [this, id] {
-            auto it = conns_.find(id);
-            if (it == conns_.end() || it->second.rcvQueue.empty() ||
+            auto it = st_.conns.find(id);
+            if (it == st_.conns.end() || it->second.rcvQueue.empty() ||
                 it->second.scheduledDeliveries == 0)
                 return;
             --it->second.scheduledDeliveries;
-            if (!appReceiving_) {
+            if (!st_.appReceiving) {
                 // SIGSTOP raced the delivery: leave the message queued
                 // for the next setAppReceiving(true).
                 return;

@@ -101,14 +101,9 @@ class TcpComm : public ClusterComm
 
     const TcpConfig &config() const { return cfg_; }
 
-    /** Snapshot state: listen/receive flags and every connection
-     *  (queues deep-copied, payload handles refcount-bumped). */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
-
   private:
+    friend class sim::SnapshotRegistry;
+
     enum FrameKind : std::uint32_t
     {
         Syn,
@@ -202,26 +197,25 @@ class TcpComm : public ClusterComm
     std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
     std::unordered_map<net::PortId, sim::NodeId> portPeers_;
 
-    /** Deep-copy @p c (ring buffers cloned; timer handles are plain
-     *  {slot, gen} triples that stay valid across a queue restore). */
-    static Conn cloneConn(const Conn &c);
+    /**
+     * Snapshot state: listen/receive flags and every connection
+     * (queues deep-copied, payload handles refcount-bumped; timer
+     * handles are plain {slot, gen} triples that stay valid across an
+     * event-queue restore).
+     */
+    struct State
+    {
+        bool listening = false;
+        bool appReceiving = true;
+        // Ordered maps, deliberately: shutdown()/setAppReceiving()/
+        // reset() iterate the connection table with wire- and
+        // CPU-visible side effects, so iteration order must be
+        // identical between a warmed endpoint and its restored fork.
+        std::map<std::uint64_t, Conn> conns;
+        std::map<sim::NodeId, std::uint64_t> active;
+    };
 
-    bool listening_ = false;
-    bool appReceiving_ = true;
-    // Ordered maps, deliberately: shutdown()/setAppReceiving()/reset()
-    // iterate the connection table with wire- and CPU-visible side
-    // effects, so iteration order must be identical between a warmed
-    // endpoint and its snapshot-restored fork.
-    std::map<std::uint64_t, Conn> conns_;
-    std::map<sim::NodeId, std::uint64_t> active_;
-};
-
-struct TcpComm::Saved
-{
-    bool listening;
-    bool appReceiving;
-    std::map<std::uint64_t, Conn> conns; ///< deep copies
-    std::map<sim::NodeId, std::uint64_t> active;
+    State st_;
 };
 
 } // namespace performa::proto

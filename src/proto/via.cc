@@ -42,11 +42,11 @@ ViaComm::peerOfPort(net::PortId port) const
 ViaComm::Vi *
 ViaComm::findByPeer(sim::NodeId peer)
 {
-    auto it = active_.find(peer);
-    if (it == active_.end())
+    auto it = st_.active.find(peer);
+    if (it == st_.active.end())
         return nullptr;
-    auto vit = vis_.find(it->second);
-    return vit == vis_.end() ? nullptr : &vit->second;
+    auto vit = st_.vis.find(it->second);
+    return vit == st_.vis.end() ? nullptr : &vit->second;
 }
 
 const ViaComm::Vi *
@@ -75,39 +75,39 @@ ViaComm::start()
                               "buffers at start-up");
         return;
     }
-    pinnedByUs_ += cfg_.regBufferBytes;
-    listening_ = true;
-    appReceiving_ = true;
+    st_.pinnedByUs += cfg_.regBufferBytes;
+    st_.listening = true;
+    st_.appReceiving = true;
 }
 
 void
 ViaComm::reset()
 {
     auto &sim = node_.simulation();
-    for (auto &[id, vi] : vis_)
+    for (auto &[id, vi] : st_.vis)
         sim.events().cancel(vi.connTimer);
-    vis_.clear();
-    active_.clear();
-    if (pinnedByUs_ > 0) {
-        node_.pins().unpin(pinnedByUs_);
-        pinnedByUs_ = 0;
+    st_.vis.clear();
+    st_.active.clear();
+    if (st_.pinnedByUs > 0) {
+        node_.pins().unpin(st_.pinnedByUs);
+        st_.pinnedByUs = 0;
     }
 }
 
 void
 ViaComm::disconnect(sim::NodeId peer)
 {
-    auto it = active_.find(peer);
-    if (it == active_.end())
+    auto it = st_.active.find(peer);
+    if (it == st_.active.end())
         return;
     std::uint64_t id = it->second;
-    auto vit = vis_.find(id);
-    active_.erase(it);
-    if (vit == vis_.end())
+    auto vit = st_.vis.find(id);
+    st_.active.erase(it);
+    if (vit == st_.vis.end())
         return;
     bool was_blocked = vit->second.senderBlocked;
     node_.simulation().events().cancel(vit->second.connTimer);
-    vis_.erase(vit);
+    st_.vis.erase(vit);
     sendControl(peer, BreakNotify, id);
     if (was_blocked && cbs_.onSendReady)
         cbs_.onSendReady();
@@ -118,30 +118,30 @@ ViaComm::shutdown()
 {
     // Graceful process exit: tearing down VIs breaks the connections,
     // which peers interpret as node failure (PRESS semantics).
-    for (auto &[id, vi] : vis_) {
+    for (auto &[id, vi] : st_.vis) {
         if (vi.established)
             sendControl(vi.peer, BreakNotify, vi.id);
     }
     reset();
-    listening_ = false;
+    st_.listening = false;
 }
 
 void
 ViaComm::vanish()
 {
-    vis_.clear();
-    active_.clear();
+    st_.vis.clear();
+    st_.active.clear();
     // The node is gone; the pin accounting was reset with the node.
-    pinnedByUs_ = 0;
-    listening_ = false;
+    st_.pinnedByUs = 0;
+    st_.listening = false;
 }
 
 void
 ViaComm::setAppReceiving(bool on)
 {
-    appReceiving_ = on;
+    st_.appReceiving = on;
     if (on) {
-        for (auto &[id, vi] : vis_)
+        for (auto &[id, vi] : st_.vis)
             scheduleDeliveries(vi);
     }
 }
@@ -151,7 +151,7 @@ ViaComm::registerMemory(std::uint64_t bytes)
 {
     if (!node_.pins().pin(bytes))
         return false;
-    pinnedByUs_ += bytes;
+    st_.pinnedByUs += bytes;
     return true;
 }
 
@@ -159,7 +159,7 @@ void
 ViaComm::deregisterMemory(std::uint64_t bytes)
 {
     node_.pins().unpin(bytes);
-    pinnedByUs_ = bytes > pinnedByUs_ ? 0 : pinnedByUs_ - bytes;
+    st_.pinnedByUs = bytes > st_.pinnedByUs ? 0 : st_.pinnedByUs - bytes;
 }
 
 void
@@ -179,12 +179,12 @@ void
 ViaComm::connect(sim::NodeId peer)
 {
     std::uint64_t id = node_.simulation().allocId();
-    Vi &vi = vis_[id];
+    Vi &vi = st_.vis[id];
     vi.id = id;
     vi.peer = peer;
     vi.sndQueue.reserve(cfg_.credits);
     vi.rcvQueue.reserve(cfg_.credits);
-    active_[peer] = id;
+    st_.active[peer] = id;
     vi.connTries = 1;
     sendControl(peer, ConnReq, id);
     vi.connTimer = node_.simulation().scheduleIn(cfg_.connectTimeout,
@@ -194,15 +194,15 @@ ViaComm::connect(sim::NodeId peer)
 void
 ViaComm::handleConnRetry(std::uint64_t vi_id)
 {
-    auto it = vis_.find(vi_id);
-    if (it == vis_.end() || it->second.established)
+    auto it = st_.vis.find(vi_id);
+    if (it == st_.vis.end() || it->second.established)
         return;
     Vi &vi = it->second;
     if (vi.connTries >= cfg_.connectRetries) {
         sim::NodeId p = vi.peer;
-        if (active_.count(p) && active_[p] == vi_id)
-            active_.erase(p);
-        vis_.erase(it);
+        if (st_.active.count(p) && st_.active[p] == vi_id)
+            st_.active.erase(p);
+        st_.vis.erase(it);
         if (cbs_.onConnectFailed)
             cbs_.onConnectFailed(p);
         return;
@@ -229,7 +229,7 @@ ViaComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
         // reported at the other end of the transfer ("the fault is
         // reported at both ends of the communication").
         if (remoteWrite() && connected(peer))
-            sendControl(peer, ErrorNotify, active_[peer]);
+            sendControl(peer, ErrorNotify, st_.active[peer]);
         return SendStatus::Fatal;
     }
 
@@ -294,8 +294,8 @@ ViaComm::pump(Vi &vi)
 
     std::uint64_t id = vi.id;
     node_.intraNet().send(std::move(f), [this, id](bool delivered) {
-        auto it = vis_.find(id);
-        if (it == vis_.end())
+        auto it = st_.vis.find(id);
+        if (it == st_.vis.end())
             return;
         if (!delivered) {
             // SAN loss: reliable-connection semantics are fail-stop.
@@ -312,13 +312,13 @@ ViaComm::pump(Vi &vi)
 void
 ViaComm::breakVi(std::uint64_t vi_id, BreakReason reason, bool notify)
 {
-    auto it = vis_.find(vi_id);
-    if (it == vis_.end())
+    auto it = st_.vis.find(vi_id);
+    if (it == st_.vis.end())
         return;
     Vi vi = std::move(it->second);
-    vis_.erase(it);
-    if (active_.count(vi.peer) && active_[vi.peer] == vi_id)
-        active_.erase(vi.peer);
+    st_.vis.erase(it);
+    if (st_.active.count(vi.peer) && st_.active[vi.peer] == vi_id)
+        st_.active.erase(vi.peer);
     node_.simulation().events().cancel(vi.connTimer);
 
     if (notify)
@@ -340,13 +340,13 @@ ViaComm::handleFrame(net::Frame &&f)
     // even while the host OS is frozen; they queue in NIC/host memory
     // until the CPU runs again.
     if (f.proto == net::Proto::Datagram) {
-        if (!listening_ || !appReceiving_ || !node_.up())
+        if (!st_.listening || !st_.appReceiving || !node_.up())
             return;
         sim::NodeId peer = peerOfPort(f.srcPort);
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
-                if (listening_ && appReceiving_ && cbs_.onDatagram)
+                if (st_.listening && st_.appReceiving && cbs_.onDatagram)
                     cbs_.onDatagram(peer, kind, payload);
             });
         return;
@@ -357,8 +357,8 @@ ViaComm::handleFrame(net::Frame &&f)
         handleConnReq(f);
         break;
       case ConnAck: {
-        auto it = vis_.find(f.conn);
-        if (it == vis_.end() || it->second.established)
+        auto it = st_.vis.find(f.conn);
+        if (it == st_.vis.end() || it->second.established)
             return;
         Vi &vi = it->second;
         vi.established = true;
@@ -370,14 +370,14 @@ ViaComm::handleFrame(net::Frame &&f)
         break;
       }
       case ConnRefused: {
-        auto it = vis_.find(f.conn);
-        if (it == vis_.end() || it->second.established)
+        auto it = st_.vis.find(f.conn);
+        if (it == st_.vis.end() || it->second.established)
             return;
         sim::NodeId peer = it->second.peer;
         node_.simulation().events().cancel(it->second.connTimer);
-        if (active_.count(peer) && active_[peer] == f.conn)
-            active_.erase(peer);
-        vis_.erase(it);
+        if (st_.active.count(peer) && st_.active[peer] == f.conn)
+            st_.active.erase(peer);
+        st_.vis.erase(it);
         if (cbs_.onConnectFailed)
             cbs_.onConnectFailed(peer);
         break;
@@ -386,8 +386,8 @@ ViaComm::handleFrame(net::Frame &&f)
         handleData(std::move(f));
         break;
       case Credit: {
-        auto it = vis_.find(f.conn);
-        if (it == vis_.end() || !it->second.established)
+        auto it = st_.vis.find(f.conn);
+        if (it == st_.vis.end() || !it->second.established)
             return;
         Vi &vi = it->second;
         ++vi.remoteCredits;
@@ -404,9 +404,9 @@ ViaComm::handleFrame(net::Frame &&f)
       case ErrorNotify:
         // RDMA completion error surfaced by our NIC: fatal for the
         // process (PRESS fail-fast).
-        if (listening_ && cbs_.onFatalError) {
+        if (st_.listening && cbs_.onFatalError) {
             node_.cpu().exec(sim::usec(5), [this] {
-                if (listening_ && cbs_.onFatalError)
+                if (st_.listening && cbs_.onFatalError)
                     cbs_.onFatalError("VIA: remote DMA completion error");
             });
         }
@@ -420,18 +420,18 @@ void
 ViaComm::handleConnReq(const net::Frame &f)
 {
     sim::NodeId peer = peerOfPort(f.srcPort);
-    if (!listening_) {
+    if (!st_.listening) {
         sendControl(peer, ConnRefused, f.conn);
         return;
     }
-    if (auto it = active_.find(peer); it != active_.end()) {
+    if (auto it = st_.active.find(peer); it != st_.active.end()) {
         if (it->second == f.conn) {
             // Duplicate ConnReq (our ack was lost): re-ack.
             sendControl(peer, ConnAck, f.conn);
             return;
         }
-        auto vit = vis_.find(it->second);
-        if (vit != vis_.end() && !vit->second.established &&
+        auto vit = st_.vis.find(it->second);
+        if (vit != st_.vis.end() && !vit->second.established &&
             peer > node_.id()) {
             // Simultaneous connect race: both ends issued ConnReqs.
             // Deterministic tie-break: the lower node id's request
@@ -443,24 +443,24 @@ ViaComm::handleConnReq(const net::Frame &f)
         // sender was blocked on it, wake it up so its queued sends
         // retry on the replacement VI.
         bool was_blocked = false;
-        if (vit != vis_.end()) {
+        if (vit != st_.vis.end()) {
             was_blocked = vit->second.senderBlocked;
             node_.simulation().events().cancel(vit->second.connTimer);
-            vis_.erase(vit);
+            st_.vis.erase(vit);
         }
-        active_.erase(it);
+        st_.active.erase(it);
         if (was_blocked && cbs_.onSendReady)
             cbs_.onSendReady();
     }
 
-    Vi &vi = vis_[f.conn];
+    Vi &vi = st_.vis[f.conn];
     vi.id = f.conn;
     vi.peer = peer;
     vi.established = true;
     vi.remoteCredits = cfg_.credits;
     vi.sndQueue.reserve(cfg_.credits);
     vi.rcvQueue.reserve(cfg_.credits);
-    active_[peer] = f.conn;
+    st_.active[peer] = f.conn;
 
     sendControl(peer, ConnAck, f.conn);
     if (cbs_.onPeerConnected)
@@ -470,8 +470,8 @@ ViaComm::handleConnReq(const net::Frame &f)
 void
 ViaComm::handleData(net::Frame &&f)
 {
-    auto it = vis_.find(f.conn);
-    if (it == vis_.end()) {
+    auto it = st_.vis.find(f.conn);
+    if (it == st_.vis.end()) {
         // Data for a VI this incarnation does not know: tell the
         // sender the connection is dead.
         sendControl(peerOfPort(f.srcPort), BreakNotify, f.conn);
@@ -487,53 +487,10 @@ ViaComm::handleData(net::Frame &&f)
     scheduleDeliveries(vi);
 }
 
-ViaComm::Vi
-ViaComm::cloneVi(const Vi &vi)
-{
-    Vi out;
-    out.id = vi.id;
-    out.peer = vi.peer;
-    out.established = vi.established;
-    out.remoteCredits = vi.remoteCredits;
-    out.sndQueue = vi.sndQueue.clone();
-    out.inFlight = vi.inFlight;
-    out.senderBlocked = vi.senderBlocked;
-    out.rcvQueue = vi.rcvQueue.clone();
-    out.scheduledDeliveries = vi.scheduledDeliveries;
-    out.connTries = vi.connTries;
-    out.connTimer = vi.connTimer;
-    return out;
-}
-
-ViaComm::Saved
-ViaComm::save() const
-{
-    Saved s;
-    s.listening = listening_;
-    s.appReceiving = appReceiving_;
-    s.pinnedByUs = pinnedByUs_;
-    for (const auto &[id, vi] : vis_)
-        s.vis.emplace(id, cloneVi(vi));
-    s.active = active_;
-    return s;
-}
-
-void
-ViaComm::restore(const Saved &s)
-{
-    listening_ = s.listening;
-    appReceiving_ = s.appReceiving;
-    pinnedByUs_ = s.pinnedByUs;
-    vis_.clear();
-    for (const auto &[id, vi] : s.vis)
-        vis_.emplace(id, cloneVi(vi));
-    active_ = s.active;
-}
-
 void
 ViaComm::scheduleDeliveries(Vi &vi)
 {
-    if (!appReceiving_)
+    if (!st_.appReceiving)
         return;
     std::uint64_t id = vi.id;
     while (vi.scheduledDeliveries < vi.rcvQueue.size()) {
@@ -544,12 +501,12 @@ ViaComm::scheduleDeliveries(Vi &vi)
                 static_cast<double>(in.msg.bytes) / 1024.0);
 
         auto deliver = [this, id] {
-            auto vit = vis_.find(id);
-            if (vit == vis_.end() || vit->second.rcvQueue.empty() ||
+            auto vit = st_.vis.find(id);
+            if (vit == st_.vis.end() || vit->second.rcvQueue.empty() ||
                 vit->second.scheduledDeliveries == 0)
                 return;
             --vit->second.scheduledDeliveries;
-            if (!appReceiving_)
+            if (!st_.appReceiving)
                 return; // SIGSTOP raced; retried on SIGCONT
             InMsg msg = std::move(vit->second.rcvQueue.front());
             vit->second.rcvQueue.pop_front();

@@ -104,18 +104,13 @@ class ViaComm : public ClusterComm
     void deregisterMemory(std::uint64_t bytes);
 
     /** @return true if start-up registration succeeded. */
-    bool started() const { return listening_; }
+    bool started() const { return st_.listening; }
 
     const ViaConfig &config() const { return cfg_; }
 
-    /** Snapshot state: flags, pinned-byte accounting and every VI
-     *  (queues deep-copied, payload handles refcount-bumped). */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
-
   private:
+    friend class sim::SnapshotRegistry;
+
     enum FrameKind : std::uint32_t
     {
         ConnReq,
@@ -182,23 +177,18 @@ class ViaComm : public ClusterComm
     std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
     std::unordered_map<net::PortId, sim::NodeId> portPeers_;
 
-    /** Deep-copy @p vi (ring buffers cloned). */
-    static Vi cloneVi(const Vi &vi);
+    /** Snapshot state: flags, pinned-byte accounting and every VI
+     *  (queues deep-copied, payload handles refcount-bumped). */
+    struct State
+    {
+        bool listening = false;
+        bool appReceiving = true;
+        std::uint64_t pinnedByUs = 0; ///< total we registered (for reset)
+        std::map<std::uint64_t, Vi> vis;
+        std::map<sim::NodeId, std::uint64_t> active;
+    };
 
-    bool listening_ = false;
-    bool appReceiving_ = true;
-    std::uint64_t pinnedByUs_ = 0; ///< total we registered (for reset)
-    std::map<std::uint64_t, Vi> vis_;
-    std::map<sim::NodeId, std::uint64_t> active_;
-};
-
-struct ViaComm::Saved
-{
-    bool listening;
-    bool appReceiving;
-    std::uint64_t pinnedByUs;
-    std::map<std::uint64_t, Vi> vis; ///< deep copies
-    std::map<sim::NodeId, std::uint64_t> active;
+    State st_;
 };
 
 } // namespace performa::proto

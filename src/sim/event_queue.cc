@@ -10,48 +10,48 @@ namespace performa::sim {
 bool
 EventHandle::pending() const
 {
-    return queue_ && queue_->records_[slot_].gen == gen_;
+    return queue_ && queue_->st_.records[slot_].gen == gen_;
 }
 
 EventHandle
 EventQueue::schedule(Tick when, Handler fn)
 {
-    if (when < now_)
-        PANIC("scheduling event in the past: ", when, " < ", now_);
+    if (when < st_.now)
+        PANIC("scheduling event in the past: ", when, " < ", st_.now);
     std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
+    if (!st_.freeSlots.empty()) {
+        slot = st_.freeSlots.back();
+        st_.freeSlots.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(records_.size());
-        records_.emplace_back();
+        slot = static_cast<std::uint32_t>(st_.records.size());
+        st_.records.emplace_back();
     }
-    Record &r = records_[slot];
+    Record &r = st_.records[slot];
     r.fn = std::move(fn);
-    heap_.push_back(HeapEntry{when, nextSeq_++, slot, r.gen});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++live_;
+    st_.heap.push_back(HeapEntry{when, st_.nextSeq++, slot, r.gen});
+    std::push_heap(st_.heap.begin(), st_.heap.end(), Later{});
+    ++st_.live;
     return EventHandle(this, slot, r.gen);
 }
 
 EventHandle
 EventQueue::scheduleIn(Tick delay, Handler fn)
 {
-    return schedule(now_ + delay, std::move(fn));
+    return schedule(st_.now + delay, std::move(fn));
 }
 
 void
 EventQueue::cancel(EventHandle &h)
 {
-    if (h.queue_ == this && records_[h.slot_].gen == h.gen_) {
-        Record &r = records_[h.slot_];
+    if (h.queue_ == this && st_.records[h.slot_].gen == h.gen_) {
+        Record &r = st_.records[h.slot_];
         // Bumping the generation invalidates the heap entry and every
         // outstanding copy of the handle in one step; the slot is
         // immediately reusable.
         ++r.gen;
         r.fn.reset(); // release captured state eagerly
-        freeSlots_.push_back(h.slot_);
-        --live_;
+        st_.freeSlots.push_back(h.slot_);
+        --st_.live;
         maybeCompact();
     }
     h = EventHandle();
@@ -60,31 +60,31 @@ EventQueue::cancel(EventHandle &h)
 void
 EventQueue::pruneStaleHead()
 {
-    while (!heap_.empty() && !live(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        heap_.pop_back();
+    while (!st_.heap.empty() && !live(st_.heap.front())) {
+        std::pop_heap(st_.heap.begin(), st_.heap.end(), Later{});
+        st_.heap.pop_back();
     }
 }
 
 EventQueue::HeapEntry
 EventQueue::popHead()
 {
-    HeapEntry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    HeapEntry e = st_.heap.front();
+    std::pop_heap(st_.heap.begin(), st_.heap.end(), Later{});
+    st_.heap.pop_back();
     return e;
 }
 
 void
 EventQueue::fire(const HeapEntry &e)
 {
-    Record &r = records_[e.slot];
-    now_ = e.when;
+    Record &r = st_.records[e.slot];
+    st_.now = e.when;
     ++r.gen; // handles to this event are stale from here on
     Handler fn = std::move(r.fn);
-    freeSlots_.push_back(e.slot);
-    --live_;
-    ++executed_;
+    st_.freeSlots.push_back(e.slot);
+    --st_.live;
+    ++st_.executed;
     // Invoke only after retiring the slot: the handler may schedule
     // more events, growing the slab and the heap.
     fn();
@@ -98,22 +98,22 @@ EventQueue::maybeCompact()
     // until their original due time. Rebuild once they outnumber the
     // live ones; the (when, seq) key survives the rebuild, so FIFO
     // tie-break order — and thus determinism — is unaffected.
-    std::size_t stale = heap_.size() - live_;
-    if (heap_.size() < 64 || stale * 2 <= heap_.size())
+    std::size_t stale = st_.heap.size() - st_.live;
+    if (st_.heap.size() < 64 || stale * 2 <= st_.heap.size())
         return;
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+    st_.heap.erase(std::remove_if(st_.heap.begin(), st_.heap.end(),
                                [this](const HeapEntry &e) {
                                    return !live(e);
                                }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
+                st_.heap.end());
+    std::make_heap(st_.heap.begin(), st_.heap.end(), Later{});
 }
 
 bool
 EventQueue::runOne()
 {
     pruneStaleHead();
-    if (heap_.empty())
+    if (st_.heap.empty())
         return false;
     fire(popHead());
     return true;
@@ -124,45 +124,12 @@ EventQueue::runUntil(Tick limit)
 {
     for (;;) {
         pruneStaleHead();
-        if (heap_.empty() || heap_.front().when > limit)
+        if (st_.heap.empty() || st_.heap.front().when > limit)
             break;
         fire(popHead());
     }
-    if (now_ < limit)
-        now_ = limit;
-}
-
-EventQueue::Saved
-EventQueue::save() const
-{
-    Saved s;
-    s.now = now_;
-    s.nextSeq = nextSeq_;
-    s.executed = executed_;
-    s.live = live_;
-    s.records.reserve(records_.size());
-    for (const Record &r : records_)
-        s.records.push_back(Record{r.fn.clone(), r.gen});
-    s.freeSlots = freeSlots_;
-    s.heap = heap_;
-    return s;
-}
-
-void
-EventQueue::restore(const Saved &s)
-{
-    now_ = s.now;
-    nextSeq_ = s.nextSeq;
-    executed_ = s.executed;
-    live_ = s.live;
-    // Rebuild the slab slot for slot (the slab may have grown past the
-    // snapshot during a previous fork's run; extra slots are dropped).
-    records_.clear();
-    records_.reserve(s.records.size());
-    for (const Record &r : s.records)
-        records_.push_back(Record{r.fn.clone(), r.gen});
-    freeSlots_ = s.freeSlots;
-    heap_ = s.heap;
+    if (st_.now < limit)
+        st_.now = limit;
 }
 
 void
@@ -173,7 +140,7 @@ EventQueue::runAll(Tick limit)
     // bug — runOne() skips cancelled entries unconditionally).
     for (;;) {
         pruneStaleHead();
-        if (heap_.empty() || heap_.front().when > limit)
+        if (st_.heap.empty() || st_.heap.front().when > limit)
             break;
         fire(popHead());
     }

@@ -32,6 +32,7 @@
 namespace performa::sim {
 
 class EventQueue;
+class SnapshotRegistry;
 
 /**
  * Handle to a scheduled event, usable to cancel it before it fires.
@@ -82,7 +83,7 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** @return the current simulated time. */
-    Tick now() const { return now_; }
+    Tick now() const { return st_.now; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -119,35 +120,20 @@ class EventQueue
     void runAll(Tick limit = maxTick);
 
     /** @return number of live (not cancelled, not yet fired) events. */
-    std::size_t pending() const { return live_; }
+    std::size_t pending() const { return st_.live; }
 
     /**
      * @return heap entries held: live events plus lazily-deleted
      * cancelled ones awaiting compaction (introspection/benchmarks).
      */
-    std::size_t heapSize() const { return heap_.size(); }
+    std::size_t heapSize() const { return st_.heap.size(); }
 
     /** @return total number of events executed so far. */
-    std::uint64_t executed() const { return executed_; }
-
-    /**
-     * A deep copy of the queue's full state: clock, sequence counter,
-     * the record slab (handlers clone()d), free list and heap. Taking
-     * one does not disturb the live queue; restore() rewinds the queue
-     * to it exactly, slot for slot, so outstanding EventHandle
-     * {slot, gen} triples from snapshot time become valid again.
-     */
-    struct Saved;
-
-    /** Capture the queue state (every pending handler must be
-     *  cloneable — see SmallFn::clone). */
-    Saved save() const;
-
-    /** Rewind the queue to @p s, discarding the current state. */
-    void restore(const Saved &s);
+    std::uint64_t executed() const { return st_.executed; }
 
   private:
     friend class EventHandle;
+    friend class SnapshotRegistry;
 
     /** Slab cell: handler storage plus the slot's current generation. */
     struct Record
@@ -180,7 +166,7 @@ class EventQueue
     bool
     live(const HeapEntry &e) const
     {
-        return records_[e.slot].gen == e.gen;
+        return st_.records[e.slot].gen == e.gen;
     }
 
     /** Drop cancelled entries from the top of the heap. */
@@ -195,24 +181,24 @@ class EventQueue
     /** Rebuild the heap without cancelled entries when they dominate. */
     void maybeCompact();
 
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::uint64_t executed_ = 0;
-    std::size_t live_ = 0;
-    std::vector<Record> records_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::vector<HeapEntry> heap_;
-};
+    /**
+     * Everything a snapshot captures: clock, sequence counter, the
+     * record slab (handlers copied), free list and heap. Restoring it
+     * rewinds the queue slot for slot, so outstanding EventHandle
+     * {slot, gen} triples from snapshot time become valid again.
+     */
+    struct State
+    {
+        Tick now = 0;
+        std::uint64_t nextSeq = 0;
+        std::uint64_t executed = 0;
+        std::size_t live = 0;
+        std::vector<Record> records;
+        std::vector<std::uint32_t> freeSlots;
+        std::vector<HeapEntry> heap;
+    };
 
-struct EventQueue::Saved
-{
-    Tick now = 0;
-    std::uint64_t nextSeq = 0;
-    std::uint64_t executed = 0;
-    std::size_t live = 0;
-    std::vector<Record> records; ///< handlers are clones
-    std::vector<std::uint32_t> freeSlots;
-    std::vector<HeapEntry> heap;
+    State st_;
 };
 
 } // namespace performa::sim

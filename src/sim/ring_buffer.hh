@@ -18,7 +18,12 @@
 
 namespace performa::sim {
 
-/** Move-only FIFO ring over raw storage; indexable like a deque. */
+/**
+ * FIFO ring over raw storage; indexable like a deque. A copy holds
+ * copies of the elements and reserves the source's full capacity, so
+ * a queue restored from a snapshot keeps its warmed-up,
+ * allocation-free headroom.
+ */
 template <typename T> class RingBuffer
 {
   public:
@@ -48,8 +53,17 @@ template <typename T> class RingBuffer
         return *this;
     }
 
-    RingBuffer(const RingBuffer &) = delete;
-    RingBuffer &operator=(const RingBuffer &) = delete;
+    RingBuffer(const RingBuffer &o) { copyFrom(o); }
+
+    RingBuffer &
+    operator=(const RingBuffer &o)
+    {
+        if (this != &o) {
+            clear();
+            copyFrom(o);
+        }
+        return *this;
+    }
 
     ~RingBuffer() { destroyAll(); }
 
@@ -103,29 +117,6 @@ template <typename T> class RingBuffer
         head_ = 0;
     }
 
-    /**
-     * Duplicate the ring, copying each element with @p copy (front to
-     * back). The clone reserves the source's full capacity up front so
-     * a restored queue keeps its warmed-up, allocation-free headroom.
-     */
-    template <typename CopyFn>
-    RingBuffer
-    clone(CopyFn &&copy) const
-    {
-        RingBuffer out;
-        out.reserve(cap_);
-        for (std::size_t i = 0; i < size_; ++i)
-            out.push_back(copy((*this)[i]));
-        return out;
-    }
-
-    /** clone() for copy-constructible element types. */
-    RingBuffer
-    clone() const
-    {
-        return clone([](const T &v) { return T(v); });
-    }
-
   private:
     static constexpr std::size_t minCapacity = 8;
 
@@ -154,6 +145,16 @@ template <typename T> class RingBuffer
         buf_ = fresh;
         cap_ = new_cap;
         head_ = 0;
+    }
+
+    /** Append copies of @p o's elements (front to back), first
+     *  growing to @p o's capacity. */
+    void
+    copyFrom(const RingBuffer &o)
+    {
+        reserve(o.cap_);
+        for (std::size_t i = 0; i < o.size_; ++i)
+            push_back(o[i]);
     }
 
     void

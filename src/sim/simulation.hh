@@ -17,6 +17,8 @@
 
 namespace performa::sim {
 
+class SnapshotRegistry;
+
 /**
  * Owns the event queue and RNG for one simulated world.
  *
@@ -29,14 +31,14 @@ class Simulation
 {
   public:
     explicit Simulation(std::uint64_t seed = 1)
-        : rng_(seed), seed_(seed)
+        : st_{Rng(seed)}, seed_(seed)
     {}
 
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
     EventQueue &events() { return events_; }
-    Rng &rng() { return rng_; }
+    Rng &rng() { return st_.rng; }
     PayloadPool &pool() { return pool_; }
 
     /** The seed this world was constructed with. */
@@ -72,7 +74,7 @@ class Simulation
      * Simulations (campaign workers) stay race-free and each run's
      * identifiers are deterministic.
      */
-    std::uint64_t allocId() { return nextId_++; }
+    std::uint64_t allocId() { return st_.nextId++; }
 
     /** Convenience forwarders. */
     EventHandle
@@ -89,46 +91,33 @@ class Simulation
 
     void runUntil(Tick limit) { events_.runUntil(limit); }
 
-    /**
-     * Snapshot state: RNG stream, id counter and the full event queue
-     * (handlers cloned). The payload pool itself is NOT part of the
-     * saved state — pooled blocks live at stable addresses until the
-     * pool is destroyed, and the Rc handles inside cloned handlers
-     * keep every block the snapshot needs referenced, so restoring is
-     * purely a matter of refcounts settling. Pool counters
-     * (freshAllocs/poolHits) therefore drift across forks; they are
-     * diagnostics, not behaviour.
-     */
-    struct Saved
-    {
-        Rng rng;
-        std::uint64_t nextId;
-        EventQueue::Saved events;
-    };
-
-    Saved
-    save() const
-    {
-        return Saved{rng_, nextId_, events_.save()};
-    }
-
-    void
-    restore(const Saved &s)
-    {
-        rng_ = s.rng;
-        nextId_ = s.nextId;
-        events_.restore(s.events);
-    }
-
   private:
+    friend class SnapshotRegistry;
+
     // The pool is declared before the event queue so it is destroyed
     // after it: pending events may hold Rc payload handles (in-flight
     // frames), and destroying them releases blocks back to the pool.
     PayloadPool pool_;
     EventQueue events_;
-    Rng rng_;
+
+    /**
+     * What a snapshot captures besides the event queue (which is its
+     * own component). The payload pool is NOT part of it: pooled
+     * blocks live at stable addresses until the pool is destroyed,
+     * and the Rc handles inside copied handlers keep every block the
+     * snapshot needs referenced, so restoring is purely a matter of
+     * refcounts settling. Pool counters (freshAllocs/poolHits)
+     * therefore drift across forks; they are diagnostics, not
+     * behaviour.
+     */
+    struct State
+    {
+        Rng rng;
+        std::uint64_t nextId = 1;
+    };
+
+    State st_;
     std::uint64_t seed_ = 1;
-    std::uint64_t nextId_ = 1;
 };
 
 } // namespace performa::sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * SmallFn: a move-only callable holder with small-buffer optimization,
+ * SmallFn: a callable holder with small-buffer optimization,
  * used by the event engine for handler storage. The common event
  * handler in this tree — a lambda capturing `this` plus an id or two —
  * fits in the inline buffer and never touches the allocator; only
@@ -21,11 +21,13 @@
 namespace performa::sim {
 
 /**
- * A type-erased `void()` callable. Move-only (captures need not be
- * copyable), empty after being moved from, and invocable only while
- * non-empty. Holders whose captures are copyable can additionally be
- * clone()d — the snapshot/fork machinery duplicates a warmed event
- * queue's handlers this way.
+ * A type-erased `void()` callable, empty after being moved from and
+ * invocable only while non-empty. Captures need not be copyable, but
+ * copying a holder copy-constructs its captures and PANICs when they
+ * are not copyable: the snapshot/fork machinery copies a warmed event
+ * queue's handlers, and every handler in this tree captures only
+ * `this`, ids and refcounted handles, so a non-copyable capture would
+ * make its event unsnapshottable.
  */
 class SmallFn
 {
@@ -66,8 +68,17 @@ class SmallFn
         return *this;
     }
 
-    SmallFn(const SmallFn &) = delete;
-    SmallFn &operator=(const SmallFn &) = delete;
+    SmallFn(const SmallFn &o) { copyFrom(o); }
+
+    SmallFn &
+    operator=(const SmallFn &o)
+    {
+        if (this != &o) {
+            reset();
+            copyFrom(o);
+        }
+        return *this;
+    }
 
     ~SmallFn() { reset(); }
 
@@ -87,28 +98,6 @@ class SmallFn
     /** Invoke the held callable (must be non-empty). */
     void operator()() { ops_->invoke(buf_); }
 
-    /** @return true if the held callable can be clone()d (or empty). */
-    bool cloneable() const { return !ops_ || ops_->copy != nullptr; }
-
-    /**
-     * Duplicate the held callable (copy-constructing its captures).
-     * Every event handler in this tree captures only `this`, ids and
-     * refcounted handles, all copyable; a non-copyable capture would
-     * make its event unsnapshottable, so cloning one is a bug.
-     */
-    SmallFn
-    clone() const
-    {
-        SmallFn out;
-        if (ops_) {
-            if (!ops_->copy)
-                PANIC("cloning a SmallFn with non-copyable captures");
-            ops_->copy(out.buf_, buf_);
-            out.ops_ = ops_;
-        }
-        return out;
-    }
-
   private:
     struct Ops
     {
@@ -117,7 +106,7 @@ class SmallFn
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
         /** Copy src into raw dst; null when the callable is not
-         *  copy-constructible (such a handler cannot be snapshotted). */
+         *  copy-constructible (such a holder cannot be copied). */
         void (*copy)(void *dst, const void *src);
     };
 
@@ -203,6 +192,17 @@ class SmallFn
                                     &HeapImpl<D>::relocate,
                                     &HeapImpl<D>::destroy,
                                     copyOp<D, HeapImpl<D>>};
+
+    void
+    copyFrom(const SmallFn &o)
+    {
+        if (o.ops_) {
+            if (!o.ops_->copy)
+                PANIC("copying a SmallFn with non-copyable captures");
+            o.ops_->copy(buf_, o.buf_);
+            ops_ = o.ops_;
+        }
+    }
 
     void
     moveFrom(SmallFn &o) noexcept

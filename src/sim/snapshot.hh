@@ -10,11 +10,17 @@
  * their mutable state is copied out and back in. Event handlers and
  * callbacks capture `this` pointers freely — those pointers remain
  * valid across a fork because the objects they refer to are never
- * moved, so the handler-rebinding contract is the identity map. What
- * every component must guarantee instead is that its Saved struct
- * covers ALL behaviour-affecting mutable state: anything missed leaks
- * one fork's history into the next and shows up as a byte diff in the
- * determinism tests.
+ * moved, so the handler-rebinding contract is the identity map.
+ *
+ * The contract a component keeps instead: every behaviour-affecting
+ * mutable field lives in one nested `State` struct, held in a member
+ * named `st_`, and the component befriends SnapshotRegistry. A
+ * snapshot is then simply a copy of `st_` and a fork an assignment
+ * back, so there is no field list to keep in sync. Deep copies live
+ * in the field types themselves (RingBuffer and SmallFn copy their
+ * elements and captures, FileCache rebuilds its index). Members
+ * outside `st_` must be configuration or wiring fixed at
+ * construction: handlers, callbacks, references and sizes.
  */
 
 #ifndef PERFORMA_SIM_SNAPSHOT_HH
@@ -23,6 +29,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -35,7 +42,7 @@ class SnapshotRegistry;
  * An immutable capture of one registry's component states, in
  * registration order. Opaque outside the registry that produced it;
  * holding one keeps the captured state (including any refcounted
- * payload handles inside cloned handlers/queues) alive, so a Snapshot
+ * payload handles inside copied handlers/queues) alive, so a Snapshot
  * must not outlive the Simulation whose payload pool backs it.
  */
 class Snapshot
@@ -81,20 +88,21 @@ class SnapshotRegistry
     }
 
     /**
-     * Register a component exposing the Saved/save()/restore() trio:
-     * `C::Saved C::save() const` and `void C::restore(const C::Saved&)`.
-     * The component must outlive the registry's last forkFrom().
+     * Register one component, together with the sub-components it
+     * owns, as a single snapshot entry: capture copies each part's
+     * `st_` and forkFrom() assigns the copies back, in argument order.
+     * Every part must outlive the registry's last forkFrom().
      */
-    template <typename C>
+    template <typename... C>
     void
-    attach(C &c)
+    attach(C &...parts)
     {
-        add(
-            [&c]() -> std::shared_ptr<const void> {
-                return std::make_shared<const typename C::Saved>(c.save());
+        using Copy = std::tuple<typename C::State...>;
+        add([&parts...]() -> std::shared_ptr<const void> {
+                return std::make_shared<const Copy>(parts.st_...);
             },
-            [&c](const void *s) {
-                c.restore(*static_cast<const typename C::Saved *>(s));
+            [&parts...](const void *s) {
+                std::tie(parts.st_...) = *static_cast<const Copy *>(s);
             });
     }
 

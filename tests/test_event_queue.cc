@@ -1,17 +1,20 @@
 /**
  * @file
  * Unit tests for the discrete-event engine: ordering, determinism,
- * cancellation, and time-advance semantics.
+ * cancellation, and time-advance semantics, plus SmallFn handler
+ * copies.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/small_fn.hh"
 
 using namespace performa::sim;
 
@@ -359,3 +362,31 @@ TEST_P(EventQueueOrderSweep, AlwaysSorted)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOrderSweep,
                          ::testing::Values(1, 2, 3, 17, 99));
+
+TEST(SmallFn, CopyDuplicatesCapturesInlineAndOnTheHeap)
+{
+    int hits = 0;
+    SmallFn small = [&hits] { ++hits; };
+    std::array<int, 32> big{};
+    big[0] = 5;
+    SmallFn large = [&hits, big] { hits += big[0]; };
+
+    SmallFn small2 = small;
+    SmallFn large2;
+    large2 = large;
+    small();
+    small2();
+    large();
+    large2();
+    EXPECT_EQ(hits, 12);
+    SmallFn empty;
+    SmallFn emptyCopy = empty;
+    EXPECT_FALSE(emptyCopy);
+}
+
+TEST(SmallFnDeathTest, CopyingANonCopyableCapturePanics)
+{
+    auto owned = std::make_unique<int>(1);
+    SmallFn fn = [p = std::move(owned)] { (void)*p; };
+    EXPECT_DEATH({ SmallFn copy = fn; }, "non-copyable");
+}

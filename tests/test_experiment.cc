@@ -249,7 +249,7 @@ TEST(ServerStats, CountersExplainTheWorkload)
 
     sim::Simulation sim(cfg.seed);
     press::Cluster cluster(sim, cfg.cluster);
-    wl::ClientFarm farm(sim, cluster.clientNet(),
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
                         cluster.serverClientPorts(),
                         cluster.clientMachinePorts(), cfg.workload);
     cluster.startAll();
@@ -270,7 +270,7 @@ TEST(ServerStats, CountersExplainTheWorkload)
                   st.localHits + st.forwarded + st.localMisses);
         EXPECT_EQ(st.refused, 0u);
     }
-    EXPECT_EQ(responses, farm.totalServed());
+    EXPECT_EQ(responses, farm.tally().totalServed);
     EXPECT_GT(accepted, 0u);
     // Round-robin DNS over a striped cache: ~25% local, ~75% forwarded.
     double fwd_rate = double(fwd) / double(hits + fwd);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the loadgen subsystem: the profile registry, rate
  * modulation, Pareto file sizes, the split RNG stream contract, the
- * session farm, and latency-stamp recording.
+ * Tally, the session farm, and latency-stamp recording.
  */
 
 #include <gtest/gtest.h>
@@ -63,10 +63,10 @@ struct StampWorld
     }
 };
 
-wl::WorkloadConfig
+loadgen::WorkloadConfig
 smallConfig()
 {
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 1000;
     return cfg;
@@ -82,45 +82,45 @@ TEST(LoadProfile, RegistryKnowsTheBuiltins)
 {
     for (const char *name :
          {"steady", "sessions", "pareto", "diurnal", "flashcrowd"}) {
-        auto p = wl::profileByName(name);
+        auto p = loadgen::profileByName(name);
         ASSERT_TRUE(p.has_value()) << name;
         EXPECT_EQ(p->name, name);
     }
-    EXPECT_FALSE(wl::profileByName("nosuch").has_value());
-    EXPECT_TRUE(wl::profileByName("steady")->isDefault());
-    EXPECT_FALSE(wl::profileByName("flashcrowd")->isDefault());
-    EXPECT_TRUE(wl::profileByName("sessions")->sessions);
-    EXPECT_TRUE(wl::profileByName("pareto")->pareto.enabled);
+    EXPECT_FALSE(loadgen::profileByName("nosuch").has_value());
+    EXPECT_TRUE(loadgen::profileByName("steady")->isDefault());
+    EXPECT_FALSE(loadgen::profileByName("flashcrowd")->isDefault());
+    EXPECT_TRUE(loadgen::profileByName("sessions")->sessions);
+    EXPECT_TRUE(loadgen::profileByName("pareto")->pareto.enabled);
 }
 
 TEST(LoadProfile, FlashCrowdRampHoldAndDecay)
 {
-    wl::LoadProfileSpec p;
+    loadgen::LoadProfileSpec p;
     p.rateScale = 1.0;
     p.flash.at = sec(100);
     p.flash.ramp = sec(10);
     p.flash.hold = sec(30);
     p.flash.peak = 3.0;
 
-    EXPECT_DOUBLE_EQ(wl::rateMultiplierAt(p, sec(50)), 1.0);
+    EXPECT_DOUBLE_EQ(loadgen::rateMultiplierAt(p, sec(50)), 1.0);
     // Halfway up the ramp: 1 + (3-1)/2.
-    EXPECT_NEAR(wl::rateMultiplierAt(p, sec(105)), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(wl::rateMultiplierAt(p, sec(120)), 3.0);
+    EXPECT_NEAR(loadgen::rateMultiplierAt(p, sec(105)), 2.0, 1e-9);
+    EXPECT_DOUBLE_EQ(loadgen::rateMultiplierAt(p, sec(120)), 3.0);
     // Halfway down the back ramp.
-    EXPECT_NEAR(wl::rateMultiplierAt(p, sec(145)), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(wl::rateMultiplierAt(p, sec(200)), 1.0);
+    EXPECT_NEAR(loadgen::rateMultiplierAt(p, sec(145)), 2.0, 1e-9);
+    EXPECT_DOUBLE_EQ(loadgen::rateMultiplierAt(p, sec(200)), 1.0);
 }
 
 TEST(LoadProfile, DiurnalOscillatesAroundBase)
 {
-    wl::LoadProfileSpec p;
+    loadgen::LoadProfileSpec p;
     p.diurnal.period = sec(100);
     p.diurnal.amplitude = 0.5;
 
     double lo = 10, hi = 0, sum = 0;
     int nsamples = 100;
     for (int i = 0; i < nsamples; ++i) {
-        double m = wl::rateMultiplierAt(p, sec(i));
+        double m = loadgen::rateMultiplierAt(p, sec(i));
         lo = std::min(lo, m);
         hi = std::max(hi, m);
         sum += m;
@@ -132,18 +132,18 @@ TEST(LoadProfile, DiurnalOscillatesAroundBase)
 
 TEST(LoadProfile, ParetoSizesDeterministicHeavyTailedClamped)
 {
-    wl::ParetoSizes spec;
+    loadgen::ParetoSizes spec;
     spec.enabled = true;
 
     // A property of the file set: independent of any RNG.
-    EXPECT_EQ(wl::paretoFileBytes(spec, 17),
-              wl::paretoFileBytes(spec, 17));
+    EXPECT_EQ(loadgen::paretoFileBytes(spec, 17),
+              loadgen::paretoFileBytes(spec, 17));
 
     double sum = 0;
     std::uint64_t maxSeen = 0;
     const int n = 20000;
     for (int f = 0; f < n; ++f) {
-        std::uint64_t b = wl::paretoFileBytes(spec, f);
+        std::uint64_t b = loadgen::paretoFileBytes(spec, f);
         EXPECT_GE(b, 1u);
         EXPECT_LE(b, spec.maxBytes);
         sum += static_cast<double>(b);
@@ -155,10 +155,10 @@ TEST(LoadProfile, ParetoSizesDeterministicHeavyTailedClamped)
     // Heavy tail: some file is far beyond the mean.
     EXPECT_GT(maxSeen, 10 * spec.meanBytes);
 
-    auto fn = wl::makeFileSizeFn(spec);
+    auto fn = loadgen::makeFileSizeFn(spec);
     ASSERT_TRUE(fn);
-    EXPECT_EQ(fn(99), wl::paretoFileBytes(spec, 99));
-    EXPECT_FALSE(wl::makeFileSizeFn(wl::ParetoSizes{}));
+    EXPECT_EQ(fn(99), loadgen::paretoFileBytes(spec, 99));
+    EXPECT_FALSE(loadgen::makeFileSizeFn(loadgen::ParetoSizes{}));
 }
 
 // ---------------------------------------------------------------------
@@ -170,7 +170,7 @@ TEST(SplitRng, SplitStreamDoesNotPerturbTheSharedStream)
     Simulation a(99), b(99);
 
     // b creates and drains a split stream; a never does.
-    Rng split = b.splitRng(wl::kLoadgenRngSalt);
+    Rng split = b.splitRng(loadgen::kLoadgenRngSalt);
     for (int i = 0; i < 1000; ++i)
         (void)split.uniform();
 
@@ -205,7 +205,7 @@ TEST(RecordResponseLatency, SplitsStagesFromStamps)
     body.serviceStartAt = msec(110);
     Tick now = msec(125);
 
-    wl::recordResponseLatency(tl, now, body);
+    loadgen::recordResponseLatency(tl, now, body);
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
     EXPECT_DOUBLE_EQ(tl.cumulative(LatencyStage::Total).quantile(1.0),
                      static_cast<double>(msec(25)));
@@ -223,7 +223,7 @@ TEST(RecordResponseLatency, UnstampedResponsesRecordNothing)
 {
     StageLatencyTimeline tl;
     press::ClientResponseBody body; // sentAt == 0
-    wl::recordResponseLatency(tl, msec(50), body);
+    loadgen::recordResponseLatency(tl, msec(50), body);
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 0u);
 }
 
@@ -233,10 +233,31 @@ TEST(RecordResponseLatency, ConnectSkippedOnReusedConnections)
     press::ClientResponseBody body;
     body.sentAt = msec(10);
     body.acceptedAt = msec(11);
-    wl::recordResponseLatency(tl, msec(20), body,
+    loadgen::recordResponseLatency(tl, msec(20), body,
                               /*record_connect=*/false);
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
     EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Tally
+// ---------------------------------------------------------------------
+
+TEST(Tally, RecordsTotalsAndPerSecondSeries)
+{
+    loadgen::Tally t(8);
+    t.offer(msec(100));
+    t.offer(msec(1500));
+    t.serve(msec(1600));
+    t.fail(sec(3));
+    EXPECT_EQ(t.totalOffered, 2u);
+    EXPECT_EQ(t.totalServed, 1u);
+    EXPECT_EQ(t.totalFailed, 1u);
+    EXPECT_EQ(t.offered.count(0), 1u);
+    EXPECT_EQ(t.offered.count(1), 1u);
+    EXPECT_EQ(t.served.count(1), 1u);
+    EXPECT_EQ(t.failed.count(3), 1u);
+    EXPECT_EQ(t.timeline.sliceCount(), 8u);
 }
 
 // ---------------------------------------------------------------------
@@ -246,18 +267,18 @@ TEST(RecordResponseLatency, ConnectSkippedOnReusedConnections)
 TEST(ClientFarmLatency, EveryServedRequestLandsInTheTimeline)
 {
     StampWorld w;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
     farm.start();
     w.s.runUntil(sec(10));
     farm.stop();
     w.s.runUntil(sec(12));
 
-    EXPECT_GT(farm.totalServed(), 0u);
-    const auto &tl = farm.timeline();
+    EXPECT_GT(farm.tally().totalServed, 0u);
+    const auto &tl = farm.tally().timeline;
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(),
-              farm.totalServed());
+              farm.tally().totalServed);
     EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(),
-              farm.totalServed());
+              farm.tally().totalServed);
 }
 
 // ---------------------------------------------------------------------
@@ -267,8 +288,8 @@ TEST(ClientFarmLatency, EveryServedRequestLandsInTheTimeline)
 TEST(SessionFarm, ServesAndChurnsSessions)
 {
     StampWorld w;
-    auto profile = *wl::profileByName("sessions");
-    wl::SessionFarm farm(w.s, w.n, w.servers, w.clients, smallConfig(),
+    auto profile = *loadgen::profileByName("sessions");
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients, smallConfig(),
                          profile);
     EXPECT_GT(farm.sessionCount(), 0u);
     farm.start();
@@ -276,16 +297,16 @@ TEST(SessionFarm, ServesAndChurnsSessions)
     farm.stop();
     w.s.runUntil(sec(32));
 
-    EXPECT_GT(farm.totalServed(), 0u);
-    EXPECT_EQ(farm.totalServed(), farm.totalOffered());
-    EXPECT_EQ(farm.totalFailed(), 0u);
+    EXPECT_GT(farm.tally().totalServed, 0u);
+    EXPECT_EQ(farm.tally().totalServed, farm.tally().totalOffered);
+    EXPECT_EQ(farm.tally().totalFailed, 0u);
     EXPECT_GT(farm.completedSessions(), 0u);
 
     // Each request records a total; only connection-opening requests
     // record a connect.
-    const auto &tl = farm.timeline();
+    const auto &tl = farm.tally().timeline;
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(),
-              farm.totalServed());
+              farm.tally().totalServed);
     EXPECT_GT(tl.cumulative(LatencyStage::Connect).count(), 0u);
     EXPECT_LT(tl.cumulative(LatencyStage::Connect).count(),
               tl.cumulative(LatencyStage::Total).count());
@@ -295,13 +316,13 @@ TEST(SessionFarm, DeterministicForSameSeed)
 {
     auto run = [] {
         StampWorld w;
-        auto profile = *wl::profileByName("sessions");
-        wl::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+        auto profile = *loadgen::profileByName("sessions");
+        loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
                              smallConfig(), profile);
         farm.start();
         w.s.runUntil(sec(20));
         farm.stop();
-        return std::tuple(farm.totalServed(), farm.totalOffered(),
+        return std::tuple(farm.tally().totalServed, farm.tally().totalOffered,
                           farm.completedSessions());
     };
     EXPECT_EQ(run(), run());
@@ -311,19 +332,133 @@ TEST(SessionFarm, TimeoutsAbandonTheSessionAndReconnect)
 {
     StampWorld w;
     w.respond = false;
-    auto profile = *wl::profileByName("sessions");
-    wl::WorkloadConfig cfg = smallConfig();
+    auto profile = *loadgen::profileByName("sessions");
+    loadgen::WorkloadConfig cfg = smallConfig();
     cfg.requestRate = 50;
-    wl::SessionFarm farm(w.s, w.n, w.servers, w.clients, cfg, profile);
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients, cfg, profile);
     farm.start();
     w.s.runUntil(sec(30));
     farm.stop();
     w.s.runUntil(sec(40));
 
-    EXPECT_GT(farm.totalFailed(), 0u);
-    EXPECT_EQ(farm.totalServed(), 0u);
+    EXPECT_GT(farm.tally().totalFailed, 0u);
+    EXPECT_EQ(farm.tally().totalServed, 0u);
     // Abandoned sessions count as completed: the seat was re-used.
     EXPECT_GT(farm.completedSessions(), 0u);
+}
+
+namespace {
+
+/** The sessions profile with a fixed population of @p users. */
+loadgen::LoadProfileSpec
+sessionsOf(std::size_t users, Tick think)
+{
+    auto profile = *loadgen::profileByName("sessions");
+    profile.sessionCount = users;
+    profile.meanThink = think;
+    return profile;
+}
+
+} // namespace
+
+TEST(SessionFarm, ThroughputScalesWithSessions)
+{
+    double rates[2];
+    int idx = 0;
+    for (std::size_t users : {20, 80}) {
+        StampWorld w;
+        loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                                  smallConfig(),
+                                  sessionsOf(users, msec(20)));
+        farm.start();
+        w.s.runUntil(sec(10));
+        rates[idx++] = farm.tally().served.meanRate(sec(2), sec(10));
+    }
+    EXPECT_GT(rates[1], 3.0 * rates[0]);
+}
+
+TEST(SessionFarm, SelfThrottlesWhenServerIsSilent)
+{
+    StampWorld w;
+    w.respond = false;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionsOf(30, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(20));
+    // Each seat fails at most once per 2 s connect timeout: bounded
+    // failures, unlike the open-loop farm which keeps firing.
+    const loadgen::Tally &t = farm.tally();
+    EXPECT_LE(t.totalFailed, 30u * 11u);
+    EXPECT_GT(t.totalFailed, 30u * 5u);
+    EXPECT_EQ(t.totalServed, 0u);
+}
+
+TEST(SessionFarm, StopCeasesActivity)
+{
+    StampWorld w;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionsOf(10, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(2));
+    farm.stop();
+    std::uint64_t offered = farm.tally().totalOffered;
+    std::uint64_t served = farm.tally().totalServed;
+    ASSERT_GT(served, 0u);
+    w.s.runUntil(sec(10));
+    EXPECT_EQ(farm.tally().totalOffered, offered);
+    EXPECT_EQ(farm.tally().totalServed, served);
+}
+
+TEST(SessionFarm, ServedRequestsDoNotLeakExpiryTimers)
+{
+    // Every request arms an expiry; a response must cancel it, or the
+    // queue carries one dead timer per served request.
+    StampWorld w;
+    constexpr std::size_t users = 50;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionsOf(users, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(5));
+    ASSERT_GT(farm.tally().totalServed, 10000u);
+    // Live events: one think or expiry timer per seat plus a handful
+    // of in-flight frames — nothing proportional to requests served.
+    EXPECT_LT(w.s.events().pending(), users * 3);
+    // The heap is bounded too (cancelled entries are compacted away).
+    EXPECT_LT(w.s.events().heapSize(), users * 6);
+}
+
+TEST(SessionFarm, StopCancelsInFlightExpiries)
+{
+    // Requests in flight at stop() are abandoned: their expiry timers
+    // are cancelled, so running past the timeout records no late
+    // failures.
+    StampWorld w;
+    w.respond = false;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionsOf(20, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(1)); // requests sent, connect timeout not reached
+    ASSERT_GT(farm.tally().totalOffered, 0u);
+    ASSERT_EQ(farm.tally().totalFailed, 0u);
+    farm.stop();
+    w.s.runUntil(sec(30));
+    EXPECT_EQ(farm.tally().totalFailed, 0u);
+    EXPECT_EQ(w.s.events().pending(), 0u);
+}
+
+TEST(SessionFarm, AccountingSumsWhileRunning)
+{
+    // Every offered request is served, failed, or still in flight —
+    // and at most one request per seat can be in flight.
+    StampWorld w;
+    constexpr std::size_t users = 30;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionsOf(users, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(3));
+    const loadgen::Tally &t = farm.tally();
+    ASSERT_GE(t.totalOffered, t.totalServed + t.totalFailed);
+    EXPECT_LE(t.totalOffered - t.totalServed - t.totalFailed, users);
 }
 
 // ---------------------------------------------------------------------
@@ -333,28 +468,28 @@ TEST(SessionFarm, TimeoutsAbandonTheSessionAndReconnect)
 TEST(MakeLoadGenerator, PicksTheGeneratorForTheProfile)
 {
     StampWorld w;
-    auto open = wl::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
+    auto open = loadgen::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
                                       smallConfig(),
-                                      *wl::profileByName("steady"));
-    auto sess = wl::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
+                                      *loadgen::profileByName("steady"));
+    auto sess = loadgen::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
                                       smallConfig(),
-                                      *wl::profileByName("sessions"));
-    EXPECT_NE(dynamic_cast<wl::ClientFarm *>(open.get()), nullptr);
-    EXPECT_NE(dynamic_cast<wl::SessionFarm *>(sess.get()), nullptr);
+                                      *loadgen::profileByName("sessions"));
+    EXPECT_NE(dynamic_cast<loadgen::ClientFarm *>(open.get()), nullptr);
+    EXPECT_NE(dynamic_cast<loadgen::SessionFarm *>(sess.get()), nullptr);
 }
 
 TEST(MakeLoadGenerator, FlashCrowdRaisesOfferedRateDuringBurst)
 {
     StampWorld w;
-    auto profile = *wl::profileByName("flashcrowd");
-    auto gen = wl::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
+    auto profile = *loadgen::profileByName("flashcrowd");
+    auto gen = loadgen::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
                                      smallConfig(), profile);
     gen->start();
     w.s.runUntil(sec(80));
     gen->stop();
 
     // Base (scaled) rate before the burst at t=50s; peak inside it.
-    double base = gen->offered().meanRate(sec(10), sec(40));
-    double burst = gen->offered().meanRate(sec(62), sec(78));
+    double base = gen->tally().offered.meanRate(sec(10), sec(40));
+    double burst = gen->tally().offered.meanRate(sec(62), sec(78));
     EXPECT_GT(burst, base * 1.5);
 }

@@ -25,7 +25,7 @@ struct Deployment
 {
     Simulation s{7};
     press::Cluster cluster;
-    wl::ClientFarm farm;
+    loadgen::ClientFarm farm;
     fault::Injector injector;
 
     explicit Deployment(press::Version v, double rate = 1500)
@@ -47,10 +47,10 @@ struct Deployment
         return cfg;
     }
 
-    static wl::WorkloadConfig
+    static loadgen::WorkloadConfig
     makeWorkloadCfg(double rate)
     {
-        wl::WorkloadConfig cfg;
+        loadgen::WorkloadConfig cfg;
         cfg.requestRate = rate;
         cfg.numFiles = 20000;
         return cfg;
@@ -61,7 +61,7 @@ struct Deployment
     {
         farm.start();
         s.runUntil(to);
-        return farm.served().meanRate(from, to);
+        return farm.tally().served.meanRate(from, to);
     }
 };
 
@@ -84,7 +84,7 @@ TEST(PressCluster, ServesRequestsUnderModestLoad)
     double tput = d.runAndMeasure(sec(5), sec(20));
     // Open-loop 1500 req/s well below capacity: all served.
     EXPECT_NEAR(tput, 1500, 100);
-    EXPECT_LT(d.farm.totalFailed(), 30u);
+    EXPECT_LT(d.farm.tally().totalFailed, 30u);
 }
 
 TEST(PressCluster, PrewarmPopulatesCachesAndDirectory)
@@ -184,7 +184,7 @@ TEST(PressCluster, PlainTcpRidesOutKernelMemFault)
     d.s.runUntil(sec(90));
     EXPECT_FALSE(d.cluster.splintered());
     // Served requests resumed after the fault.
-    double after = d.farm.served().meanRate(sec(60), sec(90));
+    double after = d.farm.tally().served.meanRate(sec(60), sec(90));
     EXPECT_GT(after, 1200);
 }
 
@@ -254,7 +254,7 @@ TEST(PressCluster, AppHangStallsAndResumes)
     d.injector.schedule(spec);
     d.s.runUntil(sec(60));
     EXPECT_FALSE(d.cluster.splintered()); // connections survived
-    double after = d.farm.served().meanRate(sec(30), sec(60));
+    double after = d.farm.tally().served.meanRate(sec(30), sec(60));
     EXPECT_GT(after, 1200);
 }
 
@@ -283,8 +283,8 @@ TEST(PressCluster, CacheUpdatesPropagateToPeersDirectories)
     // Under load with an unwarmed tail of the file set, servers cache
     // new files and broadcast; peers must be forwarding rather than
     // re-reading from disk, so most requests are served quickly.
-    EXPECT_GT(d.farm.totalServed(),
-              d.farm.totalOffered() * 95 / 100);
+    EXPECT_GT(d.farm.tally().totalServed,
+              d.farm.tally().totalOffered * 95 / 100);
 }
 
 TEST(PressCluster, SplinterDegradesButDoesNotStopService)
@@ -298,6 +298,6 @@ TEST(PressCluster, SplinterDegradesButDoesNotStopService)
     spec.duration = sec(60);
     d.injector.schedule(spec);
     d.s.runUntil(sec(60));
-    double during = d.farm.served().meanRate(sec(20), sec(60));
+    double during = d.farm.tally().served.meanRate(sec(20), sec(60));
     EXPECT_GT(during, 1500); // degraded but alive (3+1 serving)
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for sim::RingBuffer: FIFO order across wrap-around,
- * growth, indexing, move-only elements, and destruction accounting.
+ * growth, indexing, move-only elements, destruction accounting, and
+ * capacity-preserving copies.
  */
 
 #include <gtest/gtest.h>
@@ -130,4 +131,27 @@ TEST(RingBuffer, MoveTransfersOwnership)
     a = std::move(b);
     ASSERT_EQ(a.size(), 2u);
     EXPECT_EQ(a.back(), 8);
+}
+
+TEST(RingBuffer, CopyKeepsOrderAndReservesTheSourceCapacity)
+{
+    RingBuffer<int> src(64);
+    for (int i = 0; i < 40; ++i)
+        src.push_back(i);
+    for (int i = 0; i < 30; ++i)
+        src.pop_front(); // head mid-buffer: the copy must unwrap it
+    RingBuffer<int> copy = src;
+    EXPECT_EQ(copy.capacity(), src.capacity());
+    ASSERT_EQ(copy.size(), 10u);
+    for (std::size_t i = 0; i < copy.size(); ++i)
+        EXPECT_EQ(copy[i], src[i]);
+
+    // Assigning into a ring at least as large reuses its buffer.
+    RingBuffer<int> dst(128);
+    dst.push_back(-1);
+    dst = src;
+    EXPECT_EQ(dst.capacity(), 128u);
+    ASSERT_EQ(dst.size(), 10u);
+    EXPECT_EQ(dst.front(), 30);
+    EXPECT_EQ(dst.back(), 39);
 }

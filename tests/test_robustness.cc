@@ -24,7 +24,7 @@ struct Storm
 {
     Simulation s{23};
     press::Cluster cluster;
-    wl::ClientFarm farm;
+    loadgen::ClientFarm farm;
     fault::Injector injector;
 
     explicit Storm(press::Version v, bool robust = false)
@@ -48,10 +48,10 @@ struct Storm
         return cfg;
     }
 
-    static wl::WorkloadConfig
+    static loadgen::WorkloadConfig
     makeWl()
     {
-        wl::WorkloadConfig cfg;
+        loadgen::WorkloadConfig cfg;
         cfg.requestRate = 1500;
         cfg.numFiles = 24000;
         return cfg;
@@ -72,7 +72,7 @@ struct Storm
     void
     expectServing(Tick from, Tick to, double min_rate)
     {
-        double r = farm.served().meanRate(from, to);
+        double r = farm.tally().served.meanRate(from, to);
         EXPECT_GT(r, min_rate) << "cluster not serving";
     }
 };

@@ -21,6 +21,7 @@
 #include "campaign/phase1.hh"
 #include "exp/experiment.hh"
 #include "exp/stages.hh"
+#include "loadgen/load_profile.hh"
 #include "net/network.hh"
 #include "os/node.hh"
 #include "proto/tcp.hh"
@@ -212,13 +213,27 @@ expectIdentical(const exp::ExperimentResult &a,
 
 TEST(Snapshot, ForkMatchesFreshRunByteForByte)
 {
-    const std::pair<press::Version, fault::FaultKind> points[] = {
-        {press::Version::TcpPress, fault::FaultKind::AppCrash},
-        {press::Version::ViaPress0, fault::FaultKind::LinkDown},
-        {press::Version::ViaPress3, fault::FaultKind::NodeCrash},
+    struct Point
+    {
+        press::Version v;
+        fault::FaultKind k;
+        const char *profile;
     };
-    for (auto [v, k] : points) {
+    // The default profile drives the open-loop ClientFarm on the
+    // shared RNG; "sessions" restores a SessionFarm and "flashcrowd"
+    // a ClientFarm drawing from its own split stream.
+    const Point points[] = {
+        {press::Version::TcpPress, fault::FaultKind::AppCrash, "steady"},
+        {press::Version::ViaPress0, fault::FaultKind::LinkDown, "steady"},
+        {press::Version::ViaPress3, fault::FaultKind::NodeCrash, "steady"},
+        {press::Version::TcpPress, fault::FaultKind::AppCrash,
+         "sessions"},
+        {press::Version::TcpPressHb, fault::FaultKind::BadParamNull,
+         "flashcrowd"},
+    };
+    for (auto [v, k, profile] : points) {
         exp::ExperimentConfig cfg = fastConfig(v, k);
+        cfg.profile = *loadgen::profileByName(profile);
 
         // Fresh path: warm up and measure in one world, no snapshot.
         exp::ExperimentResult fresh = exp::runExperiment(cfg);
@@ -231,13 +246,17 @@ TEST(Snapshot, ForkMatchesFreshRunByteForByte)
         exp::Experiment e(warmCfg);
         e.warmUp();
         sim::Snapshot snap = e.snapshot();
+        // A throwaway fork first: anything the restore misses carries
+        // its history into the measured fork below.
+        e.forkFrom(snap);
+        e.injectAndMeasure(cfg.fault, cfg.injectAt + sim::sec(10));
         e.forkFrom(snap);
         exp::ExperimentResult forked =
             e.injectAndMeasure(cfg.fault, cfg.duration);
 
         expectIdentical(fresh, forked,
                         std::string(press::versionName(v)) + " x " +
-                            fault::faultName(k));
+                            fault::faultName(k) + " / " + profile);
     }
 }
 
@@ -331,11 +350,11 @@ TEST(Snapshot, ForkedSteadyStateTrafficAllocatesNothing)
         pumpWindow();
 
     sim::SnapshotRegistry reg;
-    reg.attach(sim);
+    reg.attach(sim, sim.events());
     reg.attach(intra);
     reg.attach(client);
-    reg.attach(n0);
-    reg.attach(n1);
+    reg.attach(n0, n0.cpu(), n0.kernelMem(), n0.pins());
+    reg.attach(n1, n1.cpu(), n1.kernelMem(), n1.pins());
     reg.attach(a);
     reg.attach(b);
     sim::Snapshot snap = reg.capture();

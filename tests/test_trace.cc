@@ -12,7 +12,7 @@
 #include "loadgen/trace.hh"
 
 using namespace performa;
-using namespace performa::wl;
+using namespace performa::loadgen;
 
 TEST(SyntheticTrace, GeneratesRequestedPopulation)
 {

@@ -59,39 +59,39 @@ struct FarmWorld
 TEST(ClientFarm, OfferedRateTracksTarget)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 2000;
     cfg.numFiles = 1000;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(20));
-    double rate = farm.offered().meanRate(sec(0), sec(20));
+    double rate = farm.tally().offered.meanRate(sec(0), sec(20));
     EXPECT_NEAR(rate, 2000, 100);
 }
 
 TEST(ClientFarm, AllServedWhenServersRespond)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 100;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(10));
     farm.stop();
     w.s.runUntil(sec(20));
-    EXPECT_EQ(farm.totalServed(), farm.totalOffered());
-    EXPECT_EQ(farm.totalFailed(), 0u);
+    EXPECT_EQ(farm.tally().totalServed, farm.tally().totalOffered);
+    EXPECT_EQ(farm.tally().totalFailed, 0u);
     EXPECT_EQ(farm.pendingCount(), 0u);
 }
 
 TEST(ClientFarm, RoundRobinSpreadsAcrossServers)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 1000;
     cfg.numFiles = 100;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(8));
     int min = 1 << 30, max = 0;
@@ -107,30 +107,30 @@ TEST(ClientFarm, SilentServerMeansTimeoutFailures)
 {
     FarmWorld w;
     w.respond = false;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 100;
     cfg.requestTimeout = sec(6);
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(5));
-    EXPECT_EQ(farm.totalFailed(), 0u); // nothing expired yet
+    EXPECT_EQ(farm.tally().totalFailed, 0u); // nothing expired yet
     w.s.runUntil(sec(30));
     farm.stop();
     w.s.runUntil(sec(40));
-    EXPECT_EQ(farm.totalServed(), 0u);
-    EXPECT_EQ(farm.totalFailed(), farm.totalOffered());
+    EXPECT_EQ(farm.tally().totalServed, 0u);
+    EXPECT_EQ(farm.tally().totalFailed, farm.tally().totalOffered);
 }
 
 TEST(ClientFarm, LateResponseCountsAsFailure)
 {
     FarmWorld w;
     w.respond = false;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 100;
     cfg.numFiles = 10;
     cfg.requestTimeout = sec(2);
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
 
     // Respond manually after the deadline.
     std::vector<net::Frame> pending;
@@ -143,7 +143,7 @@ TEST(ClientFarm, LateResponseCountsAsFailure)
     w.s.runUntil(sec(1));
     farm.stop();
     w.s.runUntil(sec(5)); // everything expired
-    std::uint64_t failed = farm.totalFailed();
+    std::uint64_t failed = farm.tally().totalFailed;
     EXPECT_GT(failed, 0u);
     for (auto &f : pending) {
         auto *req = f.payload.get<press::ClientRequestBody>();
@@ -159,18 +159,18 @@ TEST(ClientFarm, LateResponseCountsAsFailure)
         w.n.send(std::move(r));
     }
     w.s.runUntil(sec(10));
-    EXPECT_EQ(farm.totalServed(), 0u); // late data is ignored
-    EXPECT_EQ(farm.totalFailed(), failed);
+    EXPECT_EQ(farm.tally().totalServed, 0u); // late data is ignored
+    EXPECT_EQ(farm.tally().totalFailed, failed);
 }
 
 TEST(ClientFarm, PopularityFollowsZipf)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 4000;
     cfg.numFiles = 1000;
     cfg.zipfAlpha = 0.8;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
 
     std::map<sim::FileId, int> hits;
     for (auto p : w.servers) {
@@ -188,15 +188,15 @@ TEST(ClientFarm, PopularityFollowsZipf)
 TEST(ClientFarm, LatencyStatsTrackServedRequests)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 100;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(5));
     farm.stop();
     w.s.runUntil(sec(10));
-    EXPECT_EQ(farm.latency().count(), farm.totalServed());
+    EXPECT_EQ(farm.latency().count(), farm.tally().totalServed);
     // Round trip over the ideal network: sub-millisecond.
     EXPECT_GT(farm.latency().mean(), 0.0);
     EXPECT_LT(farm.latency().mean(), 1000.0);

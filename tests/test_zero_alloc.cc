@@ -275,18 +275,18 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
         });
     }
 
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 2000;
     cfg.numFiles = 500;
-    auto profile = *wl::profileByName("sessions");
+    auto profile = *loadgen::profileByName("sessions");
     profile.reserveSlices = 128; // covers the whole run below
-    wl::SessionFarm farm(s, net, servers, clients, cfg, profile);
+    loadgen::SessionFarm farm(s, net, servers, clients, cfg, profile);
     farm.start();
 
     // Warm-up: session table live, payload pool and event slab at
     // steady-state capacity, histograms carved out.
     s.runUntil(sim::sec(5));
-    ASSERT_GT(farm.totalServed(), 0u);
+    ASSERT_GT(farm.tally().totalServed, 0u);
 
     // Deterministically pre-carve pool capacity past any stochastic
     // in-flight peak: every session can have a request body and a
@@ -304,15 +304,15 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
     } // handles drop here; the blocks land on the free lists
 
     std::uint64_t fresh_before = s.pool().freshAllocs();
-    std::uint64_t served_before = farm.totalServed();
+    std::uint64_t served_before = farm.tally().totalServed;
     g_news = 0;
     g_counting = true;
     s.runUntil(sim::sec(60));
     g_counting = false;
 
-    EXPECT_GT(farm.totalServed(), served_before);
-    EXPECT_EQ(farm.totalFailed(), 0u);
-    EXPECT_GT(farm.timeline()
+    EXPECT_GT(farm.tally().totalServed, served_before);
+    EXPECT_EQ(farm.tally().totalFailed, 0u);
+    EXPECT_GT(farm.tally().timeline
                   .cumulative(sim::LatencyStage::Total)
                   .count(),
               0u);
