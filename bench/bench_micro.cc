@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator substrate itself:
- * event-queue throughput, Zipf sampling, LRU cache churn, TCP and VIA
- * message round-trips, and phase-2 model evaluation. These bound how
+ * event-queue throughput, Zipf sampling, LRU cache churn, directory
+ * dispatch lookups, TCP and VIA message round-trips, and phase-2
+ * model evaluation. These bound how
  * fast the fault-injection experiments run, not anything the paper
  * measures.
  */
@@ -15,6 +16,7 @@
 #include "net/network.hh"
 #include "os/node.hh"
 #include "press/cache.hh"
+#include "press/directory.hh"
 #include "press/messages.hh"
 #include "proto/tcp.hh"
 #include "proto/via.hh"
@@ -112,6 +114,53 @@ BM_LruCacheChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LruCacheChurn);
+
+static void
+BM_DirectoryDispatchLookup(benchmark::State &state)
+{
+    // One 16-node server's view of a 68000-file set: each file cached
+    // by its prewarm owner, every third also by a second node. Each
+    // lookup walks the candidates of a Zipf-drawn file the way
+    // dispatch does, picking the least-loaded one other than itself.
+    constexpr sim::FileId kFiles = 68000;
+    constexpr sim::NodeId kNodes = 16;
+    press::Directory dir(kNodes);
+    for (sim::FileId f = 0; f < kFiles; ++f) {
+        dir.add(f, f % kNodes);
+        if (f % 3 == 0)
+            dir.add(f, (f / 3 + 5) % kNodes);
+    }
+    std::uint32_t loads[kNodes];
+    for (sim::NodeId n = 0; n < kNodes; ++n)
+        loads[n] = (n * 7) % 5;
+    sim::Rng rng(3);
+    sim::ZipfSampler zipf(kFiles, 0.8);
+    std::vector<sim::FileId> draws(1 << 16);
+    for (auto &f : draws)
+        f = static_cast<sim::FileId>(zipf.sample(rng));
+
+    const sim::NodeId self = 0;
+    std::size_t i = 0;
+    std::uint64_t picked = 0;
+    for (auto _ : state) {
+        sim::FileId f = draws[i++ & (draws.size() - 1)];
+        sim::NodeId best = sim::invalidNode;
+        std::uint32_t best_load = 0;
+        for (sim::NodeId n : dir.nodesFor(f)) {
+            if (n == self)
+                continue;
+            if (best == sim::invalidNode || loads[n] < best_load ||
+                (loads[n] == best_load && n < best)) {
+                best = n;
+                best_load = loads[n];
+            }
+        }
+        picked += best;
+    }
+    benchmark::DoNotOptimize(picked);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DirectoryDispatchLookup);
 
 namespace {
 

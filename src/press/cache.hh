@@ -5,15 +5,20 @@
  * hooks connect the cache to the node's pinnable-page budget so that
  * the pin-exhaustion fault shrinks the cache, exactly as described in
  * Section 5.4 of the paper.
+ *
+ * File ids are Zipf ranks, dense from 0, so the LRU list is intrusive:
+ * one {prev, next, cached} link per file id in a flat vector, grown on
+ * first insert of a higher id. A copy is a plain vector copy, which is
+ * what makes snapshotting a server's cache cheap.
  */
 
 #ifndef PERFORMA_PRESS_CACHE_HH
 #define PERFORMA_PRESS_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -21,9 +26,24 @@ namespace performa::press {
 
 /**
  * LRU cache of uniformly sized files.
+ *
+ * Copies carry the contents, LRU order and pin hooks. A snapshot copy
+ * fires no hooks: the pin accounting it implies is rewound wholesale
+ * by the node's PinManager state, so re-running them would
+ * double-count it.
  */
 class FileCache
 {
+    static constexpr sim::FileId none = ~sim::FileId(0);
+
+    /** Intrusive LRU link of one file id. */
+    struct Link
+    {
+        sim::FileId prev = none; ///< towards the MRU end
+        sim::FileId next = none; ///< towards the LRU end
+        bool cached = false;
+    };
+
   public:
     /** Try to pin @p bytes; false when the budget is exhausted. */
     using PinHook = std::function<bool(std::uint64_t)>;
@@ -37,33 +57,6 @@ class FileCache
           fileBytes_(file_bytes)
     {}
 
-    /**
-     * Copies carry the contents, LRU order and pin hooks, and index
-     * their own list. A snapshot copy fires no hooks: the pin
-     * accounting it implies is rewound wholesale by the node's
-     * PinManager state, so re-running them would double-count it.
-     */
-    FileCache(const FileCache &o)
-        : capacityFiles_(o.capacityFiles_), fileBytes_(o.fileBytes_),
-          lru_(o.lru_), pin_(o.pin_), unpin_(o.unpin_)
-    {
-        reindex();
-    }
-
-    FileCache &
-    operator=(const FileCache &o)
-    {
-        if (this != &o) {
-            capacityFiles_ = o.capacityFiles_;
-            fileBytes_ = o.fileBytes_;
-            lru_ = o.lru_;
-            pin_ = o.pin_;
-            unpin_ = o.unpin_;
-            reindex();
-        }
-        return *this;
-    }
-
     /** Enable dynamic pinning (VIA-PRESS-5). */
     void
     setPinHooks(PinHook pin, UnpinHook unpin)
@@ -72,16 +65,20 @@ class FileCache
         unpin_ = std::move(unpin);
     }
 
-    bool contains(sim::FileId f) const { return index_.count(f) != 0; }
+    bool
+    contains(sim::FileId f) const
+    {
+        return f < links_.size() && links_[f].cached;
+    }
 
     /** LRU bump on a cache hit. */
     void
     touch(sim::FileId f)
     {
-        auto it = index_.find(f);
-        if (it == index_.end())
+        if (!contains(f) || f == head_)
             return;
-        lru_.splice(lru_.begin(), lru_, it->second);
+        unlink(f);
+        pushFront(f);
     }
 
     /**
@@ -101,20 +98,21 @@ class FileCache
             touch(f);
             return true;
         }
-        while (index_.size() >= capacityFiles_)
+        while (size_ >= capacityFiles_)
             evictLru(on_evict);
         if (pin_) {
             // Zero-copy requires the file's pages pinned; shed LRU
             // files until the pin succeeds ("it drops files from its
             // cache to free up memory").
             while (!pin_(fileBytes_)) {
-                if (index_.empty())
+                if (size_ == 0)
                     return false;
                 evictLru(on_evict);
             }
         }
-        lru_.push_front(f);
-        index_[f] = lru_.begin();
+        if (f >= links_.size())
+            links_.resize(std::size_t(f) + 1);
+        pushFront(f);
         return true;
     }
 
@@ -122,11 +120,10 @@ class FileCache
     void
     evictLru(const EvictCb &on_evict)
     {
-        if (lru_.empty())
+        if (size_ == 0)
             return;
-        sim::FileId victim = lru_.back();
-        lru_.pop_back();
-        index_.erase(victim);
+        sim::FileId victim = tail_;
+        unlink(victim);
         if (unpin_)
             unpin_(fileBytes_);
         if (on_evict)
@@ -138,35 +135,67 @@ class FileCache
     clear()
     {
         if (unpin_) {
-            for (std::size_t i = 0; i < lru_.size(); ++i)
+            for (std::size_t i = 0; i < size_; ++i)
                 unpin_(fileBytes_);
         }
-        lru_.clear();
-        index_.clear();
+        links_.clear();
+        head_ = tail_ = none;
+        size_ = 0;
     }
 
-    std::size_t size() const { return index_.size(); }
+    std::size_t size() const { return size_; }
     std::size_t capacityFiles() const { return capacityFiles_; }
     std::uint64_t fileBytes() const { return fileBytes_; }
 
-    /** Iterate cached files in MRU-to-LRU order. */
-    const std::list<sim::FileId> &files() const { return lru_; }
+    /** The cached files in MRU-to-LRU order. */
+    std::vector<sim::FileId>
+    files() const
+    {
+        std::vector<sim::FileId> out;
+        out.reserve(size_);
+        for (sim::FileId f = head_; f != none; f = links_[f].next)
+            out.push_back(f);
+        return out;
+    }
 
   private:
-    /** Point the index at this object's own list nodes. */
     void
-    reindex()
+    pushFront(sim::FileId f)
     {
-        index_.clear();
-        for (auto it = lru_.begin(); it != lru_.end(); ++it)
-            index_[*it] = it;
+        Link &l = links_[f];
+        l.prev = none;
+        l.next = head_;
+        l.cached = true;
+        if (head_ != none)
+            links_[head_].prev = f;
+        else
+            tail_ = f;
+        head_ = f;
+        ++size_;
+    }
+
+    void
+    unlink(sim::FileId f)
+    {
+        Link &l = links_[f];
+        if (l.prev != none)
+            links_[l.prev].next = l.next;
+        else
+            head_ = l.next;
+        if (l.next != none)
+            links_[l.next].prev = l.prev;
+        else
+            tail_ = l.prev;
+        l = Link{};
+        --size_;
     }
 
     std::size_t capacityFiles_;
     std::uint64_t fileBytes_;
-    std::list<sim::FileId> lru_;
-    std::unordered_map<sim::FileId, std::list<sim::FileId>::iterator>
-        index_;
+    std::vector<Link> links_; ///< indexed by file id
+    sim::FileId head_ = none; ///< MRU
+    sim::FileId tail_ = none; ///< LRU
+    std::size_t size_ = 0;
     PinHook pin_;
     UnpinHook unpin_;
 };

@@ -14,6 +14,14 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
     : node_(node), cfg_(cfg), comm_(std::move(comm)),
       allNodes_(std::move(all_nodes))
 {
+    // Per-node state is indexed by node id.
+    std::size_t slots = allNodes_.empty()
+        ? 0
+        : std::size_t(*std::max_element(allNodes_.begin(),
+                                        allNodes_.end())) + 1;
+    st_.directory = Directory(slots);
+    st_.loads.assign(slots, 0);
+
     disk_ = std::make_unique<DiskArray>(node_.simulation(),
                                         cfg_.disksPerNode, cfg_.diskSeek,
                                         cfg_.diskBytesPerUsec);
@@ -81,7 +89,7 @@ Server::start()
     st_.directory.clear();
     st_.members.clear();
     st_.members.insert(node_.id());
-    st_.loads.clear();
+    std::fill(st_.loads.begin(), st_.loads.end(), 0);
     st_.joinTries = 0;
     st_.joinResponded = false;
     st_.lastHbAt = node_.simulation().now();
@@ -244,6 +252,25 @@ clientSendCost(const PressCosts &costs, std::uint64_t bytes)
                                   static_cast<double>(bytes) / 1024.0);
 }
 
+template <class Nodes, class Keep>
+sim::NodeId
+Server::leastLoaded(const Nodes &nodes, Keep keep) const
+{
+    sim::NodeId best = sim::invalidNode;
+    std::uint32_t best_load = 0;
+    for (sim::NodeId n : nodes) {
+        if (!keep(n))
+            continue;
+        std::uint32_t l = loadOf(n);
+        if (best == sim::invalidNode || l < best_load ||
+            (l == best_load && n < best)) {
+            best = n;
+            best_load = l;
+        }
+    }
+    return best;
+}
+
 void
 Server::dispatch(const ClientRequestBody &req)
 {
@@ -255,21 +282,20 @@ Server::dispatch(const ClientRequestBody &req)
 
     // Locality-conscious distribution: forward to a node caching the
     // file, least-loaded first.
-    std::vector<sim::NodeId> candidates;
-    for (sim::NodeId n : st_.directory.nodesFor(req.file)) {
-        if (n != node_.id() && st_.members.count(n))
-            candidates.push_back(n);
-    }
-    if (!candidates.empty()) {
+    sim::NodeId target = leastLoaded(
+        st_.directory.nodesFor(req.file), [this](sim::NodeId n) {
+            return n != node_.id() && st_.members.count(n);
+        });
+    if (target != sim::invalidNode) {
         ++st_.stats.forwarded;
-        forwardRequest(req, leastLoaded(candidates));
+        forwardRequest(req, target);
         return;
     }
 
     // Nobody caches it: the least-loaded member fetches it from disk
     // and becomes its caching node.
-    std::vector<sim::NodeId> all(st_.members.begin(), st_.members.end());
-    sim::NodeId svc = leastLoaded(all);
+    sim::NodeId svc =
+        leastLoaded(st_.members, [](sim::NodeId) { return true; });
     if (svc == node_.id()) {
         ++st_.stats.localMisses;
         serveFromDisk(req);
@@ -544,7 +570,7 @@ Server::excludeNode(sim::NodeId failed)
 {
     st_.members.erase(failed);
     st_.directory.purgeNode(failed);
-    st_.loads.erase(failed);
+    st_.loads[failed] = 0;
     comm_->disconnect(failed);
     recomputeRing();
 
@@ -910,8 +936,7 @@ Server::sendCacheInfoTo(sim::NodeId peer)
     // Snapshot the cache contents: a send below can fail fatally (an
     // armed bad-parameter fault), which terminates the process and
     // clears the cache out from under a live iterator.
-    std::vector<sim::FileId> files(st_.cache->files().begin(),
-                                   st_.cache->files().end());
+    std::vector<sim::FileId> files = st_.cache->files();
     CacheInfoBody chunk;
     chunk.node = node_.id();
     for (sim::FileId f : files) {
@@ -972,29 +997,12 @@ Server::prewarmFile(sim::FileId f, sim::NodeId owner)
     st_.directory.add(f, owner);
 }
 
-sim::NodeId
-Server::leastLoaded(const std::vector<sim::NodeId> &candidates) const
-{
-    sim::NodeId best = sim::invalidNode;
-    std::uint32_t best_load = 0;
-    for (sim::NodeId n : candidates) {
-        std::uint32_t l = loadOf(n);
-        if (best == sim::invalidNode || l < best_load ||
-            (l == best_load && n < best)) {
-            best = n;
-            best_load = l;
-        }
-    }
-    return best;
-}
-
 std::uint32_t
 Server::loadOf(sim::NodeId n) const
 {
     if (n == node_.id())
         return static_cast<std::uint32_t>(st_.outstanding);
-    auto it = st_.loads.find(n);
-    return it == st_.loads.end() ? 0 : it->second;
+    return n < st_.loads.size() ? st_.loads[n] : 0;
 }
 
 // ---------------------------------------------------------------------

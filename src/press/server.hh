@@ -198,8 +198,10 @@ class Server : public osim::Service
     // -- cache helpers ------------------------------------------------------
     /** Insert into the local cache, broadcasting insert + evictions. */
     void cacheInsert(sim::FileId f);
-    sim::NodeId leastLoaded(const std::vector<sim::NodeId> &candidates)
-        const;
+    /** Least-loaded node of @p nodes that passes @p keep; ties go to
+     *  the lowest id. invalidNode when none passes. */
+    template <class Nodes, class Keep>
+    sim::NodeId leastLoaded(const Nodes &nodes, Keep keep) const;
     std::uint32_t loadOf(sim::NodeId n) const;
 
     // -- main loop ---------------------------------------------------------
@@ -261,7 +263,8 @@ class Server : public osim::Service
 
         // cluster state
         std::set<sim::NodeId> members;
-        std::map<sim::NodeId, std::uint32_t> loads;
+        /** Piggy-backed load per node id (0 = unknown). */
+        std::vector<std::uint32_t> loads;
         Directory directory;
         /** Empty until the first start(); the pin hooks capture only
          *  this server and its VIA endpoint, so a copy stays valid. */

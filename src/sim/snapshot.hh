@@ -18,9 +18,9 @@
  * snapshot is then simply a copy of `st_` and a fork an assignment
  * back, so there is no field list to keep in sync. Deep copies live
  * in the field types themselves (RingBuffer and SmallFn copy their
- * elements and captures, FileCache rebuilds its index). Members
- * outside `st_` must be configuration or wiring fixed at
- * construction: handlers, callbacks, references and sizes.
+ * elements and captures). Members outside `st_` must be
+ * configuration or wiring fixed at construction: handlers,
+ * callbacks, references and sizes.
  */
 
 #ifndef PERFORMA_SIM_SNAPSHOT_HH

@@ -127,8 +127,62 @@ TEST(FileCache, FilesIteratesMruFirst)
     c.insert(1, nullptr);
     c.insert(2, nullptr);
     c.touch(1);
-    std::vector<sim::FileId> order(c.files().begin(), c.files().end());
-    EXPECT_EQ(order, (std::vector<sim::FileId>{1, 2}));
+    EXPECT_EQ(c.files(), (std::vector<sim::FileId>{1, 2}));
+}
+
+TEST(FileCache, CopyKeepsLruOrderAndPinHooks)
+{
+    std::uint64_t pinned = 0;
+    FileCache c(3 * 100, 100);
+    c.setPinHooks(
+        [&](std::uint64_t b) {
+            pinned += b;
+            return true;
+        },
+        [&](std::uint64_t b) { pinned -= b; });
+    c.insert(1, nullptr);
+    c.insert(2, nullptr);
+    c.insert(3, nullptr);
+    c.touch(1);
+
+    FileCache copy = c;
+    EXPECT_EQ(copy.files(), (std::vector<sim::FileId>{1, 3, 2}));
+    EXPECT_EQ(copy.size(), 3u);
+    EXPECT_EQ(pinned, 300u) << "copying fires no pin hooks";
+
+    // Eviction follows the copied LRU order and runs the copied hooks.
+    std::vector<sim::FileId> evicted;
+    copy.insert(4, [&](sim::FileId f) { evicted.push_back(f); });
+    EXPECT_EQ(evicted, (std::vector<sim::FileId>{2}));
+    EXPECT_EQ(pinned, 300u);
+    copy.clear();
+    EXPECT_EQ(pinned, 0u);
+}
+
+TEST(FileCache, MutatingACopyLeavesTheOriginalUntouched)
+{
+    FileCache c(4 * 100, 100);
+    for (sim::FileId f : {5, 9, 2, 7})
+        c.insert(f, nullptr);
+
+    FileCache copy = c;
+    copy.touch(5);
+    copy.insert(40, nullptr); // evicts 9, grows the link array
+    copy.evictLru(nullptr);   // evicts 2
+    EXPECT_EQ(copy.files(), (std::vector<sim::FileId>{40, 5, 7}));
+
+    EXPECT_EQ(c.files(), (std::vector<sim::FileId>{7, 2, 9, 5}));
+    EXPECT_TRUE(c.contains(9));
+    EXPECT_FALSE(c.contains(40));
+    EXPECT_EQ(c.size(), 4u);
+
+    // Assigning back restores the original exactly.
+    copy = c;
+    EXPECT_EQ(copy.files(), c.files());
+    EXPECT_FALSE(copy.contains(40));
+    std::vector<sim::FileId> evicted;
+    copy.insert(11, [&](sim::FileId f) { evicted.push_back(f); });
+    EXPECT_EQ(evicted, (std::vector<sim::FileId>{5}));
 }
 
 /** Property sweep: size never exceeds capacity for any access mix. */
@@ -146,6 +200,11 @@ TEST_P(CacheCapacitySweep, SizeBounded)
         if (i % 3 == 0)
             c.touch(static_cast<sim::FileId>(rng() % 200));
     }
+    // The MRU-to-LRU walk visits exactly size() distinct files.
+    std::vector<sim::FileId> order = c.files();
+    EXPECT_EQ(order.size(), c.size());
+    for (sim::FileId f : order)
+        EXPECT_TRUE(c.contains(f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CacheCapacitySweep,

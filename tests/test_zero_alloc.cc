@@ -21,6 +21,8 @@
 #include "loadgen/session_farm.hh"
 #include "net/network.hh"
 #include "os/node.hh"
+#include "press/cache.hh"
+#include "press/directory.hh"
 #include "press/messages.hh"
 #include "proto/tcp.hh"
 #include "sim/simulation.hh"
@@ -319,4 +321,42 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
     EXPECT_EQ(g_news, 0u) << "heap allocations in the steady state";
     EXPECT_EQ(s.pool().freshAllocs(), fresh_before)
         << "payload pool carved fresh blocks in the steady state";
+}
+
+TEST(ZeroAlloc, CopyAssigningIntoAGrownCacheAndDirectoryAllocatesNothing)
+{
+    // A fork assigns each server's snapshot cache and directory back
+    // into the live ones, which already hold the capacity.
+    std::uint64_t pinned = 0;
+    auto pin = [&pinned](std::uint64_t b) {
+        pinned += b;
+        return true;
+    };
+    auto unpin = [&pinned](std::uint64_t b) { pinned -= b; };
+    press::FileCache src(256 * 100, 100), dst(256 * 100, 100);
+    src.setPinHooks(pin, unpin);
+    press::Directory dsrc(16), ddst(16);
+    for (sim::FileId f = 0; f < 4000; f += 3) {
+        src.insert(f, nullptr);
+        dsrc.add(f, f % 16);
+    }
+    dst = src;
+    ddst = dsrc;
+    for (sim::FileId f = 1; f < 3000; f += 7) {
+        src.insert(f, nullptr);
+        src.touch(f / 2);
+        dsrc.add(f, 3);
+        dsrc.remove(f + 2, (f + 2) % 16);
+    }
+
+    g_news = 0;
+    g_counting = true;
+    dst = src;
+    ddst = dsrc;
+    g_counting = false;
+
+    EXPECT_EQ(g_news, 0u) << "heap allocations in the copy-assignment";
+    EXPECT_EQ(dst.files(), src.files());
+    for (sim::NodeId n = 0; n < 16; ++n)
+        EXPECT_EQ(ddst.entriesOf(n), dsrc.entriesOf(n)) << "node " << n;
 }
