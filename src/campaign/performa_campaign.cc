@@ -10,11 +10,14 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/phase1.hh"
@@ -67,6 +70,7 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Split on commas, keeping empty tokens so the parser rejects them. */
 std::vector<std::string>
 splitCsv(const std::string &s)
 {
@@ -76,11 +80,34 @@ splitCsv(const std::string &s)
         std::size_t comma = s.find(',', pos);
         if (comma == std::string::npos)
             comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
+        out.push_back(s.substr(pos, comma - pos));
         pos = comma + 1;
     }
     return out;
+}
+
+/**
+ * Parse all of @p tok as a number for option @p opt; with @p positive,
+ * also require it to be > 0. An empty token, trailing text, a sign on
+ * an unsigned value, overflow or a non-finite value prints a message
+ * and exits 2, like every other bad option.
+ */
+template <typename T>
+T
+parseNumber(const char *opt, const std::string &tok, bool positive = false)
+{
+    T v{};
+    const char *end = tok.data() + tok.size();
+    auto [stop, ec] = std::from_chars(tok.data(), end, v);
+    bool ok = !tok.empty() && ec == std::errc() && stop == end &&
+              (!positive || v > 0);
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v);
+    if (!ok) {
+        std::fprintf(stderr, "bad %s value: '%s'\n", opt, tok.c_str());
+        std::exit(2);
+    }
+    return v;
 }
 
 std::string
@@ -312,15 +339,14 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(value("--jobs"), nullptr, 10));
+            jobs = parseNumber<unsigned>("--jobs", value("--jobs"));
         } else if (arg == "--cache") {
             cache = value("--cache");
         } else if (arg == "--seed") {
-            seed = std::strtoull(value("--seed"), nullptr, 10);
+            seed = parseNumber<std::uint64_t>("--seed", value("--seed"));
         } else if (arg == "--versions") {
             for (const std::string &tok : splitCsv(value("--versions"))) {
-                unsigned long idx = std::strtoul(tok.c_str(), nullptr, 10);
+                auto idx = parseNumber<std::size_t>("--versions", tok);
                 if (idx >= std::size(press::allVersions)) {
                     std::fprintf(stderr, "bad --versions index: %s\n",
                                  tok.c_str());
@@ -330,7 +356,7 @@ main(int argc, char **argv)
             }
         } else if (arg == "--faults") {
             for (const std::string &tok : splitCsv(value("--faults"))) {
-                unsigned long idx = std::strtoul(tok.c_str(), nullptr, 10);
+                auto idx = parseNumber<std::size_t>("--faults", tok);
                 if (idx >= std::size(fault::allFaultKinds)) {
                     std::fprintf(stderr, "bad --faults index: %s\n",
                                  tok.c_str());
@@ -341,12 +367,13 @@ main(int argc, char **argv)
         } else if (arg == "--nodes") {
             nodeAxis.clear();
             for (const std::string &tok : splitCsv(value("--nodes")))
-                nodeAxis.push_back(static_cast<std::uint32_t>(
-                    std::strtoul(tok.c_str(), nullptr, 10)));
+                nodeAxis.push_back(
+                    parseNumber<std::uint32_t>("--nodes", tok, true));
         } else if (arg == "--scale") {
             scaleAxis.clear();
             for (const std::string &tok : splitCsv(value("--scale")))
-                scaleAxis.push_back(std::strtod(tok.c_str(), nullptr));
+                scaleAxis.push_back(
+                    parseNumber<double>("--scale", tok, true));
         } else if (arg == "--profile") {
             std::string name = value("--profile");
             auto p = loadgen::profileByName(name);
@@ -383,11 +410,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (nodeAxis.empty() || scaleAxis.empty()) {
-        std::fprintf(stderr, "empty --nodes/--scale axis\n");
-        return 2;
-    }
-
     if (list) {
         for (std::uint32_t n : nodeAxis)
             for (double x : scaleAxis)

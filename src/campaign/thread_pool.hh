@@ -53,8 +53,6 @@ class ThreadPool
     /** Block until the queue is empty and all workers are idle. */
     void drain();
 
-    unsigned workerCount() const { return static_cast<unsigned>(workers_.size()); }
-
     /** @return true once cancel() has been called. */
     bool cancelled() const;
 

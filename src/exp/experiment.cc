@@ -101,11 +101,7 @@ Experiment::Experiment(ExperimentConfig cfg)
     registry_.attach(sim_, sim_.events());
     cluster_->registerWith(registry_);
     farm_->registerWith(registry_);
-    registry_.add(
-        [this] { return std::make_shared<const MarkerLog>(markers_); },
-        [this](const void *s) {
-            markers_ = *static_cast<const MarkerLog *>(s);
-        });
+    registry_.attach(markers_);
 }
 
 void

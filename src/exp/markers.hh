@@ -17,6 +17,10 @@
 
 #include "sim/types.hh"
 
+namespace performa::sim {
+class SnapshotRegistry;
+}
+
 namespace performa::exp {
 
 /** What a marker records. */
@@ -52,17 +56,17 @@ class MarkerLog
         sim::NodeId node = sim::invalidNode,
         sim::NodeId other = sim::invalidNode, std::string detail = {})
     {
-        markers_.push_back(Marker{t, kind, node, other,
-                                  std::move(detail)});
+        st_.markers.push_back(Marker{t, kind, node, other,
+                                     std::move(detail)});
     }
 
-    const std::vector<Marker> &all() const { return markers_; }
+    const std::vector<Marker> &all() const { return st_.markers; }
 
     /** First marker of @p kind at or after @p from. */
     std::optional<Marker>
     firstAfter(MarkerKind kind, sim::Tick from) const
     {
-        for (const auto &m : markers_) {
+        for (const auto &m : st_.markers) {
             if (m.kind == kind && m.t >= from)
                 return m;
         }
@@ -73,7 +77,8 @@ class MarkerLog
     std::optional<Marker>
     last(MarkerKind kind) const
     {
-        for (auto it = markers_.rbegin(); it != markers_.rend(); ++it) {
+        const auto &ms = st_.markers;
+        for (auto it = ms.rbegin(); it != ms.rend(); ++it) {
             if (it->kind == kind)
                 return *it;
         }
@@ -86,7 +91,7 @@ class MarkerLog
           sim::Tick to = sim::maxTick) const
     {
         std::size_t n = 0;
-        for (const auto &m : markers_) {
+        for (const auto &m : st_.markers) {
             if (m.kind == kind && m.t >= from && m.t < to)
                 ++n;
         }
@@ -94,7 +99,15 @@ class MarkerLog
     }
 
   private:
-    std::vector<Marker> markers_;
+    friend class sim::SnapshotRegistry;
+
+    /** Snapshot state: the log itself. */
+    struct State
+    {
+        std::vector<Marker> markers;
+    };
+
+    State st_;
 };
 
 } // namespace performa::exp

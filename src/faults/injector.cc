@@ -61,8 +61,6 @@ hasDuration(FaultKind k)
 void
 Injector::emit(const std::string &what, sim::NodeId node)
 {
-    sim::Trace::log(sim_.now(), "mendosus", what, " (node ",
-                    node == sim::invalidNode ? -1 : (int)node, ")");
     if (onEvent_)
         onEvent_(sim_.now(), what, node);
 }

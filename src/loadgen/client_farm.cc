@@ -18,7 +18,6 @@ ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
       zipf_(cfg.numFiles, cfg.zipfAlpha),
       st_{.splitRng = s.splitRng(kLoadgenRngSalt),
           .pending = {},
-          .latency = {},
           .tally = Tally(profile_.reserveSlices)}
 {
     if (serverPorts_.empty() || clientPorts_.empty())
@@ -79,7 +78,7 @@ ClientFarm::issueRequest()
     net::PortId client = clientPorts_[st_.rrClient];
     st_.rrClient = (st_.rrClient + 1) % clientPorts_.size();
 
-    st_.pending[id] = Pending{sim_.now()};
+    st_.pending.insert(id);
     st_.tally.offer(sim_.now());
 
     auto body = sim_.makePayload<press::ClientRequestBody>();
@@ -109,12 +108,9 @@ ClientFarm::onResponse(net::Frame &&f)
     if (f.kind != press::ClientResponse || !f.payload)
         return;
     auto *body = f.payload.get<press::ClientResponseBody>();
-    auto it = st_.pending.find(body->req);
-    if (it == st_.pending.end())
+    if (st_.pending.erase(body->req) == 0)
         return; // already expired: the client hung up long ago
-    st_.latency.add(static_cast<double>(sim_.now() - it->second.sentAt));
     recordResponseLatency(st_.tally.timeline, sim_.now(), *body);
-    st_.pending.erase(it);
     st_.tally.serve(sim_.now());
 }
 
@@ -127,10 +123,8 @@ ClientFarm::registerWith(sim::SnapshotRegistry &reg)
 void
 ClientFarm::expire(sim::RequestId id)
 {
-    auto it = st_.pending.find(id);
-    if (it == st_.pending.end())
+    if (st_.pending.erase(id) == 0)
         return; // completed in time
-    st_.pending.erase(it);
     st_.tally.fail(sim_.now());
 }
 

@@ -19,7 +19,7 @@
 #define PERFORMA_LOADGEN_CLIENT_FARM_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "loadgen/generator.hh"
@@ -28,7 +28,6 @@
 #include "sim/latency_histogram.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
-#include "sim/stats.hh"
 #include "sim/time_series.hh"
 #include "sim/types.hh"
 
@@ -68,9 +67,6 @@ class ClientFarm : public LoadGenerator
     /** In-flight (not yet answered or timed out) request count. */
     std::size_t pendingCount() const { return st_.pending.size(); }
 
-    /** Response-time statistics of served requests (microseconds). */
-    const sim::OnlineStats &latency() const { return st_.latency; }
-
     const WorkloadConfig &config() const { return cfg_; }
     const LoadProfileSpec &profile() const { return profile_; }
     const sim::ZipfSampler &popularity() const { return zipf_; }
@@ -79,11 +75,6 @@ class ClientFarm : public LoadGenerator
 
   private:
     friend class sim::SnapshotRegistry;
-
-    struct Pending
-    {
-        sim::Tick sentAt;
-    };
 
     void arrivalTick();
     void issueRequest();
@@ -113,8 +104,7 @@ class ClientFarm : public LoadGenerator
         sim::RequestId nextReq = 1;
         std::size_t rrServer = 0;
         std::size_t rrClient = 0;
-        std::unordered_map<sim::RequestId, Pending> pending;
-        sim::OnlineStats latency;
+        std::unordered_set<sim::RequestId> pending;
         Tally tally;
     };
 

@@ -25,8 +25,6 @@ Node::crash(sim::Tick downtime)
 {
     if (st_.status == Status::Down)
         return;
-    sim::Trace::log(sim_.now(), "node", "node ", id_, " crashed (down ",
-                    sim::toSeconds(downtime), "s)");
     if (st_.status == Status::Frozen) {
         // Crashing while frozen: the pending unfreeze event will see
         // the node rebooted and do nothing, so undo the freeze's CPU
@@ -49,13 +47,10 @@ Node::crash(sim::Tick downtime)
 void
 Node::reboot()
 {
-    sim::Trace::log(sim_.now(), "node", "node ", id_, " rebooted");
     ++st_.incarnation;
     st_.status = Status::Up;
     setPorts(true);
     cpu_.resume();
-    for (auto &fn : rebootFns_)
-        fn();
     // Mendosus starts another PRESS process automatically after boot.
     if (service_) {
         sim_.scheduleIn(cfg_.serviceStartDelay, [this] {
@@ -70,20 +65,13 @@ Node::freeze(sim::Tick duration)
 {
     if (st_.status != Status::Up)
         return;
-    sim::Trace::log(sim_.now(), "node", "node ", id_, " froze (",
-                    sim::toSeconds(duration), "s)");
     st_.status = Status::Frozen;
     cpu_.pause();
-    for (auto &fn : freezeFns_)
-        fn();
     sim_.scheduleIn(duration, [this] {
         if (st_.status != Status::Frozen)
             return; // crashed while frozen
         st_.status = Status::Up;
         cpu_.resume();
-        sim::Trace::log(sim_.now(), "node", "node ", id_, " unfroze");
-        for (auto &fn : unfreezeFns_)
-            fn();
     });
 }
 
@@ -136,11 +124,8 @@ Node::contService()
 void
 Node::serviceSelfExited(ExitReason reason)
 {
-    if (reason == ExitReason::GaveUp) {
-        sim::Trace::log(sim_.now(), "daemon", "node ", id_,
-                        " service gave up; waiting for operator");
-        return; // availability cost: needs operator intervention
-    }
+    // The daemon restarts a fail-fast exit; a GaveUp service waits
+    // for the operator (that wait is its availability cost).
     if (reason == ExitReason::FailFast && !st_.restartPending) {
         st_.restartPending = true;
         sim_.scheduleIn(cfg_.serviceRestartDelay, [this] {

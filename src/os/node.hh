@@ -118,9 +118,6 @@ class Node
     /// @name Lifecycle notifications (for protocol stacks)
     /// @{
     void onCrash(std::function<void()> fn) { crashFns_.push_back(fn); }
-    void onReboot(std::function<void()> fn) { rebootFns_.push_back(fn); }
-    void onFreeze(std::function<void()> fn) { freezeFns_.push_back(fn); }
-    void onUnfreeze(std::function<void()> fn) { unfreezeFns_.push_back(fn); }
     /** @} */
 
   private:
@@ -144,9 +141,6 @@ class Node
     Service *service_ = nullptr;
 
     std::vector<std::function<void()>> crashFns_;
-    std::vector<std::function<void()>> rebootFns_;
-    std::vector<std::function<void()>> freezeFns_;
-    std::vector<std::function<void()>> unfreezeFns_;
 
     /**
      * Snapshot state: the lifecycle. The owned CPU and memory managers

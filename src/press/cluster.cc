@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 
 #include "proto/tcp.hh"
 #include "proto/via.hh"
@@ -18,13 +17,8 @@ Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
 
     const std::uint32_t n = cfg_.press.numNodes;
 
-    std::unordered_map<sim::NodeId, net::PortId> peer_ports;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        net::PortId ip = intraNet_->addPort();
-        net::PortId cp = clientNet_->addPort();
-        peer_ports[i] = ip;
-        serverClientPorts_.push_back(cp);
-    }
+    for (std::uint32_t i = 0; i < n; ++i)
+        serverClientPorts_.push_back(clientNet_->addPort());
     for (std::uint32_t i = 0; i < cfg_.clientMachines; ++i)
         clientMachinePorts_.push_back(clientNet_->addPort());
 
@@ -32,9 +26,11 @@ Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
     for (std::uint32_t i = 0; i < n; ++i)
         all.push_back(i);
 
+    // Node i owns intra port i: the protocol stacks address peers by
+    // node id and check this.
     for (std::uint32_t i = 0; i < n; ++i) {
         nodes_.push_back(std::make_unique<osim::Node>(
-            sim_, i, *intraNet_, peer_ports[i], *clientNet_,
+            sim_, i, *intraNet_, intraNet_->addPort(), *clientNet_,
             serverClientPorts_[i], cfg_.node));
     }
 
@@ -42,10 +38,10 @@ Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
         std::unique_ptr<proto::ClusterComm> stack;
         if (isVia(cfg_.press.version)) {
             stack = std::make_unique<proto::ViaComm>(
-                *nodes_[i], viaConfigFor(cfg_.press.version), peer_ports);
+                *nodes_[i], viaConfigFor(cfg_.press.version));
         } else {
             stack = std::make_unique<proto::TcpComm>(
-                *nodes_[i], tcpConfigFor(cfg_.press.version), peer_ports);
+                *nodes_[i], tcpConfigFor(cfg_.press.version));
         }
         auto interposer = std::make_unique<proto::FaultInterposer>(
             std::move(stack));

@@ -132,10 +132,6 @@ Server::start()
         return;
     }
 
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " started (",
-                    st_.coldStart ? "cold" : "rejoin", ")");
-
     if (st_.coldStart) {
         st_.coldStart = false;
         beginColdFormation();
@@ -186,9 +182,6 @@ Server::terminate(bool silent)
         comm_->vanish();
     else
         comm_->shutdown();
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " terminated (",
-                    silent ? "silent" : "graceful", ")");
 }
 
 void
@@ -213,8 +206,6 @@ Server::sigCont()
 void
 Server::failFast(const std::string &reason)
 {
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " FAIL-FAST: ", reason);
     if (hooks_.onFailFast)
         hooks_.onFailFast(node_.id(), reason);
     terminate(/*silent=*/false);
@@ -552,8 +543,6 @@ Server::onPeerConnected(sim::NodeId peer)
     recomputeRing();
     if (hooks_.onMemberUp)
         hooks_.onMemberUp(node_.id(), peer);
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " member up: ", peer);
     if (fresh && st_.cache && st_.cache->size() > 0)
         sendCacheInfoTo(peer);
 }
@@ -608,9 +597,6 @@ Server::excludeNode(sim::NodeId failed)
         pumpMain();
     }
 
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " excluded node ", failed,
-                    " (members now ", st_.members.size(), ")");
     if (hooks_.onExclude)
         hooks_.onExclude(node_.id(), failed);
 }
@@ -673,8 +659,6 @@ Server::joinTick()
         // "After the recovered node gives up trying to rejoin": it
         // keeps serving as an independent singleton until an operator
         // intervenes.
-        sim::Trace::log(node_.simulation().now(), "press", "node ",
-                        node_.id(), " gave up rejoining");
         if (hooks_.onGiveUp)
             hooks_.onGiveUp(node_.id());
         return;
@@ -758,8 +742,6 @@ Server::hbCheckTick()
 
     // Three consecutive heartbeats missed: declare the predecessor
     // failed and tell the rest of the (believed) cluster.
-    sim::Trace::log(now, "press", "node ", node_.id(),
-                    " heartbeat timeout for node ", pred);
     excludeNode(pred);
     std::vector<sim::NodeId> targets(st_.members.begin(), st_.members.end());
     for (sim::NodeId m : targets) {

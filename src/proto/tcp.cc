@@ -9,13 +9,12 @@ namespace performa::proto {
 // Connection identifiers come from Simulation::allocId(): unique
 // within one simulated world, race-free across concurrent worlds.
 
-TcpComm::TcpComm(osim::Node &node, TcpConfig cfg,
-                 const std::unordered_map<sim::NodeId, net::PortId>
-                     &peer_ports)
-    : node_(node), cfg_(cfg), peerPorts_(peer_ports)
+TcpComm::TcpComm(osim::Node &node, TcpConfig cfg)
+    : node_(node), cfg_(cfg)
 {
-    for (const auto &[peer, port] : peerPorts_)
-        portPeers_[port] = peer;
+    if (node_.intraPort() != node_.id())
+        PANIC("tcp: node ", node_.id(), " has intra port ",
+              node_.intraPort(), "; node i must own intra port i");
 
     node_.intraNet().setHandler(node_.intraPort(),
         [this](net::Frame &&f) { handleFrame(std::move(f)); });
@@ -23,22 +22,6 @@ TcpComm::TcpComm(osim::Node &node, TcpConfig cfg,
     // A node crash wipes the kernel stack; peers only find out later
     // through retransmission timeouts or post-reboot RSTs.
     node_.onCrash([this] { vanish(); });
-}
-
-net::PortId
-TcpComm::portOf(sim::NodeId peer) const
-{
-    auto it = peerPorts_.find(peer);
-    if (it == peerPorts_.end())
-        PANIC("tcp: unknown peer node ", peer);
-    return it->second;
-}
-
-sim::NodeId
-TcpComm::peerOfPort(net::PortId port) const
-{
-    auto it = portPeers_.find(port);
-    return it == portPeers_.end() ? sim::invalidNode : it->second;
 }
 
 TcpComm::Conn *
@@ -156,7 +139,7 @@ TcpComm::connect(sim::NodeId peer)
 
     net::Frame syn;
     syn.srcPort = node_.intraPort();
-    syn.dstPort = portOf(peer);
+    syn.dstPort = peer;
     syn.proto = net::Proto::Tcp;
     syn.kind = Syn;
     syn.conn = id;
@@ -188,7 +171,7 @@ TcpComm::handleSynRetry(std::uint64_t id)
     ++cc.synTries;
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(cc.peer);
+    f.dstPort = cc.peer;
     f.proto = net::Proto::Tcp;
     f.kind = Syn;
     f.conn = id;
@@ -249,7 +232,7 @@ TcpComm::sendDatagram(sim::NodeId peer, std::uint32_t kind,
 
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(peer);
+    f.dstPort = peer;
     f.proto = net::Proto::Datagram;
     f.kind = kind;
     f.bytes = cfg_.datagramBytes;
@@ -291,7 +274,7 @@ TcpComm::pump(Conn &c)
 
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(c.peer);
+    f.dstPort = c.peer;
     f.proto = net::Proto::Tcp;
     f.kind = Data;
     f.conn = c.id;
@@ -337,7 +320,7 @@ TcpComm::onRtoFired(std::uint64_t conn_id)
         OutMsg &m = c.sndQueue.front();
         net::Frame f;
         f.srcPort = node_.intraPort();
-        f.dstPort = portOf(c.peer);
+        f.dstPort = c.peer;
         f.proto = net::Proto::Tcp;
         f.kind = Data;
         f.conn = c.id;
@@ -372,9 +355,6 @@ TcpComm::abortConn(std::uint64_t conn_id, BreakReason reason,
     if (send_rst)
         sendRawRst(c.peer, conn_id);
 
-    sim::Trace::log(sim.now(), "tcp", "node ", node_.id(),
-                    " connection to ", c.peer, " broken");
-
     bool was_established = c.established;
     bool was_blocked = c.senderBlocked;
     if (was_established && cbs_.onPeerBroken)
@@ -388,7 +368,7 @@ TcpComm::sendRawRst(sim::NodeId peer, std::uint64_t conn_id)
 {
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(peer);
+    f.dstPort = peer;
     f.proto = net::Proto::Tcp;
     f.kind = Rst;
     f.conn = conn_id;
@@ -407,7 +387,7 @@ TcpComm::handleFrame(net::Frame &&f)
     if (f.proto == net::Proto::Datagram) {
         if (!st_.listening || !st_.appReceiving)
             return;
-        sim::NodeId peer = peerOfPort(f.srcPort);
+        sim::NodeId peer = f.srcPort;
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
@@ -441,7 +421,7 @@ TcpComm::handleFrame(net::Frame &&f)
 void
 TcpComm::handleSyn(const net::Frame &f)
 {
-    sim::NodeId peer = peerOfPort(f.srcPort);
+    sim::NodeId peer = f.srcPort;
     if (!st_.listening) {
         sendRawRst(peer, f.conn);
         return;
@@ -537,7 +517,7 @@ TcpComm::handleData(net::Frame &&f)
     auto it = st_.conns.find(f.conn);
     if (it == st_.conns.end()) {
         // Segment for a connection this incarnation does not know.
-        sendRawRst(peerOfPort(f.srcPort), f.conn);
+        sendRawRst(f.srcPort, f.conn);
         return;
     }
     Conn &c = it->second;

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 #include "net/frame.hh"
 #include "os/node.hh"
@@ -79,8 +78,9 @@ struct TcpConfig
 class TcpComm : public ClusterComm
 {
   public:
-    TcpComm(osim::Node &node, TcpConfig cfg,
-            const std::unordered_map<sim::NodeId, net::PortId> &peer_ports);
+    /** Peers are addressed by node id, so @p node must own intra port
+     *  node.id(); PANICs otherwise. */
+    TcpComm(osim::Node &node, TcpConfig cfg);
 
     void setCallbacks(CommCallbacks cbs) override { cbs_ = std::move(cbs); }
     void start() override;
@@ -188,14 +188,9 @@ class TcpComm : public ClusterComm
     Conn *findByPeer(sim::NodeId peer);
     const Conn *findByPeer(sim::NodeId peer) const;
 
-    net::PortId portOf(sim::NodeId peer) const;
-    sim::NodeId peerOfPort(net::PortId port) const;
-
     osim::Node &node_;
     TcpConfig cfg_;
     CommCallbacks cbs_;
-    std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
-    std::unordered_map<net::PortId, sim::NodeId> portPeers_;
 
     /**
      * Snapshot state: listen/receive flags and every connection

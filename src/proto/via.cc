@@ -9,34 +9,17 @@ namespace performa::proto {
 // VI identifiers come from Simulation::allocId(): unique within one
 // simulated world, race-free across concurrent worlds.
 
-ViaComm::ViaComm(osim::Node &node, ViaConfig cfg,
-                 const std::unordered_map<sim::NodeId, net::PortId>
-                     &peer_ports)
-    : node_(node), cfg_(cfg), peerPorts_(peer_ports)
+ViaComm::ViaComm(osim::Node &node, ViaConfig cfg)
+    : node_(node), cfg_(cfg)
 {
-    for (const auto &[peer, port] : peerPorts_)
-        portPeers_[port] = peer;
+    if (node_.intraPort() != node_.id())
+        PANIC("via: node ", node_.id(), " has intra port ",
+              node_.intraPort(), "; node i must own intra port i");
 
     node_.intraNet().setHandler(node_.intraPort(),
         [this](net::Frame &&f) { handleFrame(std::move(f)); });
 
     node_.onCrash([this] { vanish(); });
-}
-
-net::PortId
-ViaComm::portOf(sim::NodeId peer) const
-{
-    auto it = peerPorts_.find(peer);
-    if (it == peerPorts_.end())
-        PANIC("via: unknown peer node ", peer);
-    return it->second;
-}
-
-sim::NodeId
-ViaComm::peerOfPort(net::PortId port) const
-{
-    auto it = portPeers_.find(port);
-    return it == portPeers_.end() ? sim::invalidNode : it->second;
 }
 
 ViaComm::Vi *
@@ -167,7 +150,7 @@ ViaComm::sendControl(sim::NodeId peer, FrameKind kind, std::uint64_t vi_id)
 {
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(peer);
+    f.dstPort = peer;
     f.proto = net::Proto::Via;
     f.kind = kind;
     f.conn = vi_id;
@@ -257,7 +240,7 @@ ViaComm::sendDatagram(sim::NodeId peer, std::uint32_t kind,
 {
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(peer);
+    f.dstPort = peer;
     f.proto = net::Proto::Datagram;
     f.kind = kind;
     f.bytes = cfg_.datagramBytes;
@@ -284,7 +267,7 @@ ViaComm::pump(Vi &vi)
     OutMsg &m = vi.sndQueue.front();
     net::Frame f;
     f.srcPort = node_.intraPort();
-    f.dstPort = portOf(vi.peer);
+    f.dstPort = vi.peer;
     f.proto = net::Proto::Via;
     f.kind = Data;
     f.conn = vi.id;
@@ -324,9 +307,6 @@ ViaComm::breakVi(std::uint64_t vi_id, BreakReason reason, bool notify)
     if (notify)
         sendControl(vi.peer, BreakNotify, vi_id); // best effort
 
-    sim::Trace::log(node_.simulation().now(), "via", "node ", node_.id(),
-                    " VI to ", vi.peer, " broken");
-
     if (vi.established && cbs_.onPeerBroken)
         cbs_.onPeerBroken(vi.peer, reason);
     if (vi.senderBlocked && cbs_.onSendReady)
@@ -342,7 +322,7 @@ ViaComm::handleFrame(net::Frame &&f)
     if (f.proto == net::Proto::Datagram) {
         if (!st_.listening || !st_.appReceiving || !node_.up())
             return;
-        sim::NodeId peer = peerOfPort(f.srcPort);
+        sim::NodeId peer = f.srcPort;
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
@@ -419,7 +399,7 @@ ViaComm::handleFrame(net::Frame &&f)
 void
 ViaComm::handleConnReq(const net::Frame &f)
 {
-    sim::NodeId peer = peerOfPort(f.srcPort);
+    sim::NodeId peer = f.srcPort;
     if (!st_.listening) {
         sendControl(peer, ConnRefused, f.conn);
         return;
@@ -474,7 +454,7 @@ ViaComm::handleData(net::Frame &&f)
     if (it == st_.vis.end()) {
         // Data for a VI this incarnation does not know: tell the
         // sender the connection is dead.
-        sendControl(peerOfPort(f.srcPort), BreakNotify, f.conn);
+        sendControl(f.srcPort, BreakNotify, f.conn);
         return;
     }
     Vi &vi = it->second;

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 #include "net/frame.hh"
 #include "os/node.hh"
@@ -72,9 +71,9 @@ struct ViaConfig
 class ViaComm : public ClusterComm
 {
   public:
-    ViaComm(osim::Node &node, ViaConfig cfg,
-            const std::unordered_map<sim::NodeId, net::PortId>
-                &peer_ports);
+    /** Peers are addressed by node id, so @p node must own intra port
+     *  node.id(); PANICs otherwise. */
+    ViaComm(osim::Node &node, ViaConfig cfg);
 
     void setCallbacks(CommCallbacks cbs) override { cbs_ = std::move(cbs); }
     void start() override;
@@ -165,8 +164,6 @@ class ViaComm : public ClusterComm
 
     Vi *findByPeer(sim::NodeId peer);
     const Vi *findByPeer(sim::NodeId peer) const;
-    net::PortId portOf(sim::NodeId peer) const;
-    sim::NodeId peerOfPort(net::PortId port) const;
 
     bool polled() const { return cfg_.mode != ViaMode::SendRecv; }
     bool remoteWrite() const { return cfg_.mode != ViaMode::SendRecv; }
@@ -174,8 +171,6 @@ class ViaComm : public ClusterComm
     osim::Node &node_;
     ViaConfig cfg_;
     CommCallbacks cbs_;
-    std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
-    std::unordered_map<net::PortId, sim::NodeId> portPeers_;
 
     /** Snapshot state: flags, pinned-byte accounting and every VI
      *  (queues deep-copied, payload handles refcount-bumped). */

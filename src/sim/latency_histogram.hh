@@ -100,7 +100,6 @@ class LatencyHistogram
     }
 
     const LatencyHistogramConfig &config() const { return cfg_; }
-    std::size_t bucketCount() const { return counts_.size(); }
 
     /** Highest value mapping to bucket @p idx (inclusive bound). */
     std::uint64_t bucketUpperBound(std::size_t idx) const;

@@ -4,8 +4,6 @@
 
 namespace performa::sim {
 
-std::atomic<bool> Trace::enabled_{false};
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

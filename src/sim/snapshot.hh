@@ -73,19 +73,9 @@ class Snapshot
 class SnapshotRegistry
 {
   public:
-    using SaveFn = std::function<std::shared_ptr<const void>()>;
-    using RestoreFn = std::function<void(const void *)>;
-
     SnapshotRegistry() = default;
     SnapshotRegistry(const SnapshotRegistry &) = delete;
     SnapshotRegistry &operator=(const SnapshotRegistry &) = delete;
-
-    /** Register a raw save/restore hook pair. */
-    void
-    add(SaveFn save, RestoreFn restore)
-    {
-        hooks_.push_back(Hook{std::move(save), std::move(restore)});
-    }
 
     /**
      * Register one component, together with the sub-components it
@@ -98,12 +88,13 @@ class SnapshotRegistry
     attach(C &...parts)
     {
         using Copy = std::tuple<typename C::State...>;
-        add([&parts...]() -> std::shared_ptr<const void> {
+        hooks_.push_back(Hook{
+            [&parts...]() -> std::shared_ptr<const void> {
                 return std::make_shared<const Copy>(parts.st_...);
             },
             [&parts...](const void *s) {
                 std::tie(parts.st_...) = *static_cast<const Copy *>(s);
-            });
+            }});
     }
 
     /** Number of registered hooks (a Snapshot only fits a registry
@@ -139,8 +130,8 @@ class SnapshotRegistry
   private:
     struct Hook
     {
-        SaveFn save;
-        RestoreFn restore;
+        std::function<std::shared_ptr<const void>()> save;
+        std::function<void(const void *)> restore;
     };
 
     std::vector<Hook> hooks_;

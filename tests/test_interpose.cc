@@ -37,19 +37,13 @@ struct InterposeWorld
 
     InterposeWorld()
     {
-        std::unordered_map<NodeId, net::PortId> ports;
-        ports[0] = intra.addPort();
-        ports[1] = intra.addPort();
+        net::PortId p0 = intra.addPort(), p1 = intra.addPort();
         net::PortId c0 = client.addPort(), c1 = client.addPort();
-        n0 = std::make_unique<osim::Node>(s, 0, intra, ports[0], client,
-                                          c0);
-        n1 = std::make_unique<osim::Node>(s, 1, intra, ports[1], client,
-                                          c1);
+        n0 = std::make_unique<osim::Node>(s, 0, intra, p0, client, c0);
+        n1 = std::make_unique<osim::Node>(s, 1, intra, p1, client, c1);
         a = std::make_unique<proto::FaultInterposer>(
-            std::make_unique<proto::TcpComm>(*n0, proto::TcpConfig{},
-                                             ports));
-        b = std::make_unique<proto::TcpComm>(*n1, proto::TcpConfig{},
-                                             ports);
+            std::make_unique<proto::TcpComm>(*n0, proto::TcpConfig{}));
+        b = std::make_unique<proto::TcpComm>(*n1, proto::TcpConfig{});
 
         proto::CommCallbacks cbs_a;
         cbs_a.onFatalError = [this](const std::string &r) {

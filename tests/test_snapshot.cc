@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <unordered_map>
 
 #include "campaign/phase1.hh"
 #include "exp/experiment.hh"
@@ -314,11 +313,9 @@ TEST(Snapshot, ForkedSteadyStateTrafficAllocatesNothing)
     net::PortId c1 = client.addPort();
     osim::Node n0(sim, 0, intra, p0, client, c0);
     osim::Node n1(sim, 1, intra, p1, client, c1);
-    std::unordered_map<sim::NodeId, net::PortId> ports{{0, p0},
-                                                       {1, p1}};
 
-    proto::TcpComm a(n0, proto::TcpConfig{}, ports);
-    proto::TcpComm b(n1, proto::TcpConfig{}, ports);
+    proto::TcpComm a(n0, proto::TcpConfig{});
+    proto::TcpComm b(n1, proto::TcpConfig{});
     std::uint64_t echoed = 0;
     proto::CommCallbacks bcbs;
     bcbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&m) {

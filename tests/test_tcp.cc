@@ -44,20 +44,18 @@ struct TcpWorld
 
     explicit TcpWorld(int n = 2, proto::TcpConfig cfg = {})
     {
-        std::unordered_map<NodeId, net::PortId> ports;
-        std::vector<net::PortId> cports;
+        // Node i owns port i on both networks.
         for (int i = 0; i < n; ++i) {
-            ports[static_cast<NodeId>(i)] = intra.addPort();
-            cports.push_back(client.addPort());
+            intra.addPort();
+            client.addPort();
         }
         eps.resize(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) {
             auto id = static_cast<NodeId>(i);
             auto &e = eps[static_cast<std::size_t>(i)];
-            e.node = std::make_unique<osim::Node>(
-                s, id, intra, ports[id], client,
-                cports[static_cast<std::size_t>(i)]);
-            e.tcp = std::make_unique<proto::TcpComm>(*e.node, cfg, ports);
+            e.node = std::make_unique<osim::Node>(s, id, intra, id, client,
+                                                  id);
+            e.tcp = std::make_unique<proto::TcpComm>(*e.node, cfg);
             proto::CommCallbacks cbs;
             cbs.onMessage = [&e](NodeId peer, AppMessage &&m) {
                 (void)peer;
@@ -442,4 +440,18 @@ TEST(Tcp, RetransmitSharesPooledPayloadWithoutUseAfterFree)
     EXPECT_EQ(watch.refCount(), 2u);
     w.eps[1].received.clear();
     EXPECT_EQ(watch.refCount(), 1u);
+}
+
+TEST(TcpDeathTest, NodeMustOwnTheIntraPortOfItsId)
+{
+    // Peers are addressed by node id, so a node on another intra port
+    // would send every frame to the wrong peer: construction refuses.
+    Simulation s{1};
+    net::Network intra{s};
+    net::Network client{s};
+    intra.addPort();
+    net::PortId port1 = intra.addPort();
+    osim::Node node(s, 0, intra, port1, client, client.addPort());
+    EXPECT_DEATH({ proto::TcpComm comm(node, proto::TcpConfig{}); },
+                 "node i must own intra port i");
 }

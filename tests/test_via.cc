@@ -46,20 +46,18 @@ struct ViaWorld
     explicit ViaWorld(int n = 2, proto::ViaConfig cfg = {},
                       osim::NodeConfig node_cfg = {})
     {
-        std::unordered_map<NodeId, net::PortId> ports;
-        std::vector<net::PortId> cports;
+        // Node i owns port i on both networks.
         for (int i = 0; i < n; ++i) {
-            ports[static_cast<NodeId>(i)] = intra.addPort();
-            cports.push_back(client.addPort());
+            intra.addPort();
+            client.addPort();
         }
         eps.resize(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) {
             auto id = static_cast<NodeId>(i);
             auto &e = eps[static_cast<std::size_t>(i)];
-            e.node = std::make_unique<osim::Node>(
-                s, id, intra, ports[id], client,
-                cports[static_cast<std::size_t>(i)], node_cfg);
-            e.via = std::make_unique<proto::ViaComm>(*e.node, cfg, ports);
+            e.node = std::make_unique<osim::Node>(s, id, intra, id, client,
+                                                  id, node_cfg);
+            e.via = std::make_unique<proto::ViaComm>(*e.node, cfg);
             proto::CommCallbacks cbs;
             cbs.onMessage = [&e](NodeId peer, AppMessage &&m) {
                 e.received.push_back(std::move(m));
@@ -386,4 +384,18 @@ TEST(Via, QuietViReplacementWakesBlockedSender)
     w.eps[1].via->connect(0);
     w.s.runUntil(sec(3));
     EXPECT_GE(w.eps[0].sendReady, 1);
+}
+
+TEST(ViaDeathTest, NodeMustOwnTheIntraPortOfItsId)
+{
+    // Peers are addressed by node id, so a node on another intra port
+    // would send every frame to the wrong peer: construction refuses.
+    Simulation s{1};
+    net::Network intra{s};
+    net::Network client{s};
+    intra.addPort();
+    net::PortId port1 = intra.addPort();
+    osim::Node node(s, 0, intra, port1, client, client.addPort());
+    EXPECT_DEATH({ proto::ViaComm comm(node, proto::ViaConfig{}); },
+                 "node i must own intra port i");
 }

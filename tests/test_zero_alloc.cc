@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <unordered_map>
 
 #include "loadgen/session_farm.hh"
 #include "net/network.hh"
@@ -150,12 +149,6 @@ struct TwoNodeWorld
         n0 = std::make_unique<osim::Node>(sim, 0, intra, p0, client, c0);
         n1 = std::make_unique<osim::Node>(sim, 1, intra, p1, client, c1);
     }
-
-    std::unordered_map<sim::NodeId, net::PortId>
-    ports() const
-    {
-        return {{0, p0}, {1, p1}};
-    }
 };
 
 } // namespace
@@ -163,8 +156,8 @@ struct TwoNodeWorld
 TEST(ZeroAlloc, TcpEchoFloodSteadyStateAllocatesNothing)
 {
     TwoNodeWorld w;
-    proto::TcpComm a(*w.n0, proto::TcpConfig{}, w.ports());
-    proto::TcpComm b(*w.n1, proto::TcpConfig{}, w.ports());
+    proto::TcpComm a(*w.n0, proto::TcpConfig{});
+    proto::TcpComm b(*w.n1, proto::TcpConfig{});
     std::uint64_t echoed = 0;
     proto::CommCallbacks bcbs;
     bcbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&m) {
