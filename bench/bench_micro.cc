@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/performability.hh"
 #include "exp/experiment.hh"
 #include "loadgen/session_farm.hh"
@@ -65,7 +67,7 @@ BENCHMARK(BM_EventQueueTimerArmCancel);
 static void
 BM_EventQueueExpiryFlood(benchmark::State &state)
 {
-    // Mirrors the client farms: every request arms a long (6 s)
+    // A cancel-on-response deadline: every request arms a long (6 s)
     // expiry timer and the response arrives almost immediately,
     // cancelling it. Cancelled timers must not linger in the heap for the
     // remaining simulated seconds; peak_heap verifies the engine
@@ -88,6 +90,44 @@ BM_EventQueueExpiryFlood(benchmark::State &state)
     state.counters["peak_heap"] = static_cast<double>(peak);
 }
 BENCHMARK(BM_EventQueueExpiryFlood)->Iterations(1 << 18);
+
+namespace {
+
+/** The lane side of BM_EventQueueLaneExpiry: counts expiries. */
+struct ExpiryCounter
+{
+    std::uint64_t expired = 0;
+    void expire(std::uint64_t) { ++expired; }
+};
+
+} // namespace
+
+static void
+BM_EventQueueLaneExpiry(benchmark::State &state)
+{
+    // Mirrors ClientFarm: every request puts a 6 s expiry on a lane
+    // and nothing cancels it (a response only clears a flag), so each
+    // expiry fires 6 s later. Requests arrive every 40 ticks (25k/s,
+    // about world16_steady's rate), so once warm ~150k expiries wait
+    // and every iteration schedules one and fires one. lane_depth
+    // shows they wait on the lane; peak_heap that the heap stays
+    // empty.
+    sim::EventQueue q;
+    ExpiryCounter farm;
+    sim::EventQueue::LaneId lane =
+        q.addLane<&ExpiryCounter::expire>(sim::sec(6), &farm);
+    std::size_t peak = 0;
+    for (auto _ : state) {
+        q.scheduleLane(lane, 0);
+        q.runUntil(q.now() + 40);
+        peak = std::max(peak, q.heapSize());
+    }
+    benchmark::DoNotOptimize(farm.expired);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["peak_heap"] = static_cast<double>(peak);
+    state.counters["lane_depth"] = static_cast<double>(q.laneDepth());
+}
+BENCHMARK(BM_EventQueueLaneExpiry)->Iterations(1 << 20);
 
 static void
 BM_ZipfSample(benchmark::State &state)

@@ -39,8 +39,8 @@ usage(const char *argv0)
         "pool, and cache the results.\n"
         "\n"
         "options:\n"
-        "  --jobs N       worker threads (default: PERFORMA_JOBS env,\n"
-        "                 else hardware threads)\n"
+        "  --jobs N       worker threads, at most %u (default:\n"
+        "                 PERFORMA_JOBS env, else hardware threads)\n"
         "  --cache PATH   behaviour cache file (default:\n"
         "                 PERFORMA_PHASE1_CACHE env, else\n"
         "                 performa_phase1.csv); extra axes get\n"
@@ -67,7 +67,7 @@ usage(const char *argv0)
         "  --list         print the grid and per-job seeds, then exit\n"
         "  --quiet        suppress per-job progress\n"
         "  --help         this text\n",
-        argv0);
+        argv0, campaign::maxWorkers);
 }
 
 /** Split on commas, keeping empty tokens so the parser rejects them. */
@@ -108,6 +108,20 @@ parseNumber(const char *opt, const std::string &tok, bool positive = false)
         std::exit(2);
     }
     return v;
+}
+
+/** Parse a worker count for @p what (--jobs or PERFORMA_JOBS): 0
+ *  means the default, more than campaign::maxWorkers exits 2. */
+unsigned
+parseJobs(const char *what, const std::string &tok)
+{
+    unsigned n = parseNumber<unsigned>(what, tok);
+    if (n > campaign::maxWorkers) {
+        std::fprintf(stderr, "bad %s value: '%s' (at most %u workers)\n",
+                     what, tok.c_str(), campaign::maxWorkers);
+        std::exit(2);
+    }
+    return n;
 }
 
 std::string
@@ -215,12 +229,7 @@ printSloReport(const exp::BehaviorDb &db, const model::LatencySlo &slo,
 
     model::ScenarioOptions sopts;
     sopts.numNodes = static_cast<int>(numNodes);
-    struct Row
-    {
-        press::Version v;
-        model::PerfResult pr;
-    };
-    std::vector<Row> rows;
+    std::vector<std::pair<press::Version, model::PerfResult>> rows;
     for (press::Version v : press::allVersions)
         rows.push_back({v, model::evaluateScenario(v, db.lookup(),
                                                    sopts)});
@@ -229,73 +238,33 @@ printSloReport(const exp::BehaviorDb &db, const model::LatencySlo &slo,
                 "(same fault load):\n");
     std::printf("  %-13s %9s %12s %9s %12s\n", "version", "Tn", "P",
                 "Tn_slo", "P_slo");
-    for (const Row &r : rows)
+    for (const auto &[v, pr] : rows)
         std::printf("  %-13s %9.1f %12.1f %9.1f %12.1f\n",
-                    press::versionName(r.v), r.pr.normalTput,
-                    r.pr.performability, r.pr.sloNormalTput,
-                    r.pr.sloPerformability);
+                    press::versionName(v), pr.normalTput,
+                    pr.performability, pr.sloNormalTput,
+                    pr.sloPerformability);
 
-    // Overall ranking flips.
-    bool anyFlip = false;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        for (std::size_t j = i + 1; j < rows.size(); ++j) {
-            bool byTput = rows[i].pr.performability >
-                          rows[j].pr.performability;
-            bool bySlo = rows[i].pr.sloPerformability >
-                         rows[j].pr.sloPerformability;
-            if (byTput != bySlo) {
-                anyFlip = true;
-                const Row &w = byTput ? rows[i] : rows[j];
-                const Row &l = byTput ? rows[j] : rows[i];
-                std::printf("  ranking flip: %s > %s on throughput-P "
-                            "but %s > %s on SLO-P\n",
-                            press::versionName(w.v),
-                            press::versionName(l.v),
-                            press::versionName(l.v),
-                            press::versionName(w.v));
-            }
-        }
-    }
-
-    // Per-fault ranking flips: order versions by this fault's share
-    // of unavailability vs its share of SLO unavailability.
-    for (fault::FaultKind k : fault::allFaultKinds) {
-        std::vector<std::pair<press::Version, std::pair<double, double>>>
-            contrib;
-        for (const Row &r : rows) {
-            double u = 0, su = 0;
-            for (const model::FaultContribution &c : r.pr.breakdown) {
-                if (c.kind == k) {
-                    u += c.unavailability;
-                    su += c.sloUnavailability;
-                }
-            }
-            contrib.push_back({r.v, {u, su}});
-        }
-        for (std::size_t i = 0; i < contrib.size(); ++i) {
-            for (std::size_t j = i + 1; j < contrib.size(); ++j) {
-                bool byTput = contrib[i].second.first <
-                              contrib[j].second.first;
-                bool bySlo = contrib[i].second.second <
-                             contrib[j].second.second;
-                if (byTput != bySlo) {
-                    anyFlip = true;
-                    auto &a = contrib[byTput ? i : j];
-                    auto &b = contrib[byTput ? j : i];
-                    std::printf(
-                        "  ranking flip under %s: %s beats %s on "
+    // Values the report prints alike are ties, never flips.
+    std::vector<model::RankingFlip> flips = model::rankingFlips(rows);
+    for (const model::RankingFlip &f : flips) {
+        if (!f.fault) {
+            std::printf("  ranking flip: %s > %s on throughput-P "
+                        "but %s > %s on SLO-P\n",
+                        press::versionName(f.ahead),
+                        press::versionName(f.behind),
+                        press::versionName(f.behind),
+                        press::versionName(f.ahead));
+        } else {
+            std::printf("  ranking flip under %s: %s beats %s on "
                         "throughput unavailability (%.3g < %.3g) but "
                         "loses on SLO unavailability (%.3g > %.3g)\n",
-                        fault::faultName(k),
-                        press::versionName(a.first),
-                        press::versionName(b.first), a.second.first,
-                        b.second.first, a.second.second,
-                        b.second.second);
-                }
-            }
+                        fault::faultName(*f.fault),
+                        press::versionName(f.ahead),
+                        press::versionName(f.behind), f.tputAhead,
+                        f.tputBehind, f.sloAhead, f.sloBehind);
         }
     }
-    if (!anyFlip)
+    if (flips.empty())
         std::printf("  no (version, fault) ranking flips under this "
                     "SLO\n");
 }
@@ -339,7 +308,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            jobs = parseNumber<unsigned>("--jobs", value("--jobs"));
+            jobs = parseJobs("--jobs", value("--jobs"));
         } else if (arg == "--cache") {
             cache = value("--cache");
         } else if (arg == "--seed") {
@@ -410,6 +379,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    if (const char *env = std::getenv("PERFORMA_JOBS"); env && !jobs)
+        parseJobs("PERFORMA_JOBS", env);
     if (list) {
         for (std::uint32_t n : nodeAxis)
             for (double x : scaleAxis)

@@ -67,7 +67,10 @@ runCampaign(const std::vector<Job> &jobs, const RunnerConfig &cfg)
             groups[it->second].push_back(i);
     }
 
+    // More workers than groups would only sit idle.
     unsigned workers = cfg.workers ? cfg.workers : defaultWorkerCount();
+    if (workers > groups.size())
+        workers = static_cast<unsigned>(groups.size());
     {
         ThreadPool pool(workers);
         for (const auto &group : groups) {

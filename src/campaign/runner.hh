@@ -87,7 +87,9 @@ using ProgressFn = std::function<void(const Progress &)>;
 
 struct RunnerConfig
 {
-    /** Worker threads; 0 means defaultWorkerCount(). */
+    /** Worker threads; 0 means defaultWorkerCount(). The runner
+     *  starts no more of them than there are execution groups (one
+     *  per strand, one per strandless job). */
     unsigned workers = 0;
     /**
      * Invoked after each job completes. Calls are serialized (one at

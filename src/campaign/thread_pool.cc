@@ -1,5 +1,6 @@
 #include "campaign/thread_pool.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -97,10 +98,11 @@ defaultWorkerCount()
         char *end = nullptr;
         long n = std::strtol(env, &end, 10);
         if (end && *end == '\0' && n > 0)
-            return static_cast<unsigned>(n);
+            return static_cast<unsigned>(
+                std::min<long>(n, maxWorkers));
     }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return hw ? std::min(hw, maxWorkers) : 1;
 }
 
 } // namespace performa::campaign

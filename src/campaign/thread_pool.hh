@@ -70,9 +70,18 @@ class ThreadPool
 };
 
 /**
+ * The most workers a campaign may ask for. Each busy worker holds a
+ * whole simulated world (tens to hundreds of MB), so more than this
+ * would exhaust memory long before it helped; the campaign CLI
+ * refuses larger --jobs and PERFORMA_JOBS values.
+ */
+inline constexpr unsigned maxWorkers = 256;
+
+/**
  * Worker count to use when the caller didn't pick one: the
  * PERFORMA_JOBS environment variable when set to a positive integer,
- * otherwise std::thread::hardware_concurrency() (minimum 1).
+ * otherwise std::thread::hardware_concurrency() (minimum 1); at most
+ * maxWorkers either way.
  */
 unsigned defaultWorkerCount();
 

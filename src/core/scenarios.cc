@@ -1,6 +1,8 @@
 #include "core/scenarios.hh"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "sim/logging.hh"
 
@@ -10,6 +12,21 @@ namespace {
 
 constexpr double kHourSec = 3600.0;
 constexpr double kAppMttr = 180.0;
+
+/**
+ * -1, 0 or 1 as @p a is below, equal to or above @p b once both are
+ * rounded as printf's @p fmt (one %.*f or %.*g) prints them.
+ */
+int
+orderAsPrinted(const char *fmt, int precision, double a, double b)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, precision, a);
+    double ra = std::strtod(buf, nullptr);
+    std::snprintf(buf, sizeof buf, fmt, precision, b);
+    double rb = std::strtod(buf, nullptr);
+    return (ra > rb) - (ra < rb);
+}
 
 } // namespace
 
@@ -121,6 +138,55 @@ crossoverFactor(press::Version via_version, press::Version tcp_version,
             hi = mid;
     }
     return 0.5 * (lo + hi);
+}
+
+std::vector<RankingFlip>
+rankingFlips(const std::vector<std::pair<press::Version, PerfResult>> &results)
+{
+    std::vector<RankingFlip> flips;
+    // Flips within one metric pair: m[v] holds version v's throughput
+    // metric and its SLO counterpart, printed as fmt/precision; sign
+    // is +1 when higher is better and -1 when lower is.
+    auto scan = [&](std::optional<fault::FaultKind> k,
+                    const std::vector<std::pair<double, double>> &m,
+                    const char *fmt, int precision, int sign) {
+        for (std::size_t i = 0; i < m.size(); ++i) {
+            for (std::size_t j = i + 1; j < m.size(); ++j) {
+                int tput = sign * orderAsPrinted(fmt, precision,
+                                                 m[i].first, m[j].first);
+                int slo = sign * orderAsPrinted(fmt, precision,
+                                                m[i].second, m[j].second);
+                if (tput == 0 || slo == 0 || tput == slo)
+                    continue;
+                std::size_t a = tput > 0 ? i : j;
+                std::size_t b = tput > 0 ? j : i;
+                flips.push_back({k, results[a].first, results[b].first,
+                                 m[a].first, m[b].first, m[a].second,
+                                 m[b].second});
+            }
+        }
+    };
+
+    std::vector<std::pair<double, double>> m;
+    for (const auto &r : results)
+        m.push_back({r.second.performability, r.second.sloPerformability});
+    scan(std::nullopt, m, "%.*f", 1, +1);
+
+    for (fault::FaultKind k : fault::allFaultKinds) {
+        m.clear();
+        for (const auto &r : results) {
+            double u = 0, su = 0;
+            for (const FaultContribution &c : r.second.breakdown) {
+                if (c.kind == k) {
+                    u += c.unavailability;
+                    su += c.sloUnavailability;
+                }
+            }
+            m.push_back({u, su});
+        }
+        scan(k, m, "%.*g", 3, -1);
+    }
+    return flips;
 }
 
 } // namespace performa::model

@@ -11,6 +11,9 @@
 #define PERFORMA_CORE_SCENARIOS_HH
 
 #include <functional>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/performability.hh"
 #include "press/config.hh"
@@ -74,6 +77,35 @@ double crossoverFactor(press::Version via_version,
                        const BehaviorLookup &lookup,
                        const ScenarioOptions &base_opts,
                        double max_factor = 64.0);
+
+/**
+ * Two versions that a throughput metric and its SLO counterpart rank
+ * in opposite orders.
+ */
+struct RankingFlip
+{
+    /** The fault class whose unavailability shares flipped, or none
+     *  for the overall P vs P_slo ranking. */
+    std::optional<fault::FaultKind> fault;
+    press::Version ahead;  ///< ahead on the throughput metric
+    press::Version behind; ///< ahead on the SLO metric
+    /** The two metrics of each version: P and P_slo overall, else
+     *  the fault's throughput and SLO unavailability shares. */
+    double tputAhead = 0, tputBehind = 0;
+    double sloAhead = 0, sloBehind = 0;
+};
+
+/**
+ * Every ranking flip between the per-version @p results: pairs that P
+ * and P_slo order differently, then, per fault class, pairs that the
+ * fault's unavailability share and its SLO unavailability share order
+ * differently (a smaller share is better). Values are compared as the
+ * SLO report prints them — P to one decimal, shares to 3 significant
+ * digits — and values equal at that precision are ties: a tie on
+ * either metric is never a flip.
+ */
+std::vector<RankingFlip>
+rankingFlips(const std::vector<std::pair<press::Version, PerfResult>> &results);
 
 } // namespace performa::model
 

@@ -1,5 +1,6 @@
 #include "loadgen/client_farm.hh"
 
+#include <bit>
 #include <memory>
 
 #include "press/messages.hh"
@@ -7,6 +8,13 @@
 #include "sim/snapshot.hh"
 
 namespace performa::loadgen {
+
+namespace {
+
+/** Initial live-flag ring: 4096 requests in flight before it grows. */
+constexpr std::size_t minLiveWords = 64;
+
+} // namespace
 
 ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
                        std::vector<net::PortId> server_ports,
@@ -16,8 +24,10 @@ ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
       clientPorts_(std::move(client_ports)), cfg_(cfg),
       profile_(std::move(profile)), shaped_(!profile_.isDefault()),
       zipf_(cfg.numFiles, cfg.zipfAlpha),
+      expiryLane_(s.events().addLane<&ClientFarm::expire>(
+          cfg.requestTimeout, this)),
       st_{.splitRng = s.splitRng(kLoadgenRngSalt),
-          .pending = {},
+          .live = std::vector<std::uint64_t>(minLiveWords),
           .tally = Tally(profile_.reserveSlices)}
 {
     if (serverPorts_.empty() || clientPorts_.empty())
@@ -26,6 +36,15 @@ ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
         net_.setHandler(p,
             [this](net::Frame &&f) { onResponse(std::move(f)); });
     }
+}
+
+std::size_t
+ClientFarm::pendingCount() const
+{
+    std::size_t n = 0;
+    for (std::uint64_t w : st_.live)
+        n += static_cast<std::size_t>(std::popcount(w));
+    return n;
 }
 
 void
@@ -78,7 +97,9 @@ ClientFarm::issueRequest()
     net::PortId client = clientPorts_[st_.rrClient];
     st_.rrClient = (st_.rrClient + 1) % clientPorts_.size();
 
-    st_.pending.insert(id);
+    if (id - st_.base == st_.live.size() * 64)
+        growLiveRing();
+    liveWord(id) |= liveBit(id);
     st_.tally.offer(sim_.now());
 
     auto body = sim_.makePayload<press::ClientRequestBody>();
@@ -98,8 +119,25 @@ ClientFarm::issueRequest()
 
     // A single expiry at the completion deadline covers both the
     // connect (2 s) and the request (6 s) timeout: an unanswered
-    // request is failed either way.
-    sim_.scheduleIn(cfg_.requestTimeout, [this, id] { expire(id); });
+    // request is failed either way. It is never cancelled; a response
+    // clears the live flag instead.
+    sim_.events().scheduleLane(expiryLane_, id);
+}
+
+std::uint64_t &
+ClientFarm::liveWord(sim::RequestId id)
+{
+    return st_.live[(id >> 6) & (st_.live.size() - 1)];
+}
+
+void
+ClientFarm::growLiveRing()
+{
+    std::vector<std::uint64_t> old(st_.live.size() * 2);
+    old.swap(st_.live);
+    for (sim::RequestId id = st_.base; id < st_.nextReq; ++id)
+        if (old[(id >> 6) & (old.size() - 1)] & liveBit(id))
+            liveWord(id) |= liveBit(id);
 }
 
 void
@@ -108,8 +146,11 @@ ClientFarm::onResponse(net::Frame &&f)
     if (f.kind != press::ClientResponse || !f.payload)
         return;
     auto *body = f.payload.get<press::ClientResponseBody>();
-    if (st_.pending.erase(body->req) == 0)
+    sim::RequestId id = body->req;
+    if (id < st_.base || id >= st_.nextReq ||
+        !(liveWord(id) & liveBit(id)))
         return; // already expired: the client hung up long ago
+    liveWord(id) &= ~liveBit(id);
     recordResponseLatency(st_.tally.timeline, sim_.now(), *body);
     st_.tally.serve(sim_.now());
 }
@@ -123,8 +164,15 @@ ClientFarm::registerWith(sim::SnapshotRegistry &reg)
 void
 ClientFarm::expire(sim::RequestId id)
 {
-    if (st_.pending.erase(id) == 0)
+    // One lane with one delay fires expiries in issue order, so @p id
+    // is always the oldest request in the window.
+    if (id != st_.base)
+        PANIC("request ", id, " expired out of order (base ", st_.base,
+              ")");
+    st_.base = id + 1;
+    if (!(liveWord(id) & liveBit(id)))
         return; // completed in time
+    liveWord(id) &= ~liveBit(id);
     st_.tally.fail(sim_.now());
 }
 

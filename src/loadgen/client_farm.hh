@@ -19,7 +19,6 @@
 #define PERFORMA_LOADGEN_CLIENT_FARM_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "loadgen/generator.hh"
@@ -65,7 +64,7 @@ class ClientFarm : public LoadGenerator
     const Tally &tally() const override { return st_.tally; }
 
     /** In-flight (not yet answered or timed out) request count. */
-    std::size_t pendingCount() const { return st_.pending.size(); }
+    std::size_t pendingCount() const;
 
     const WorkloadConfig &config() const { return cfg_; }
     const LoadProfileSpec &profile() const { return profile_; }
@@ -81,6 +80,17 @@ class ClientFarm : public LoadGenerator
     void onResponse(net::Frame &&f);
     void expire(sim::RequestId id);
 
+    /** The live flag of @p id (in [base, nextReq)): word and bit. */
+    std::uint64_t &liveWord(sim::RequestId id);
+    static std::uint64_t
+    liveBit(sim::RequestId id)
+    {
+        return std::uint64_t{1} << (id & 63);
+    }
+
+    /** Double the live-flag ring, keeping every flag in the window. */
+    void growLiveRing();
+
     /** Profile draws come from the split stream; the default profile
      *  keeps drawing from the shared, historical stream. */
     sim::Rng &genRng() { return shaped_ ? st_.splitRng : sim_.rng(); }
@@ -93,6 +103,7 @@ class ClientFarm : public LoadGenerator
     LoadProfileSpec profile_;
     bool shaped_; ///< profile_ modulates this farm
     sim::ZipfSampler zipf_;
+    sim::EventQueue::LaneId expiryLane_;
 
     /** Snapshot state: generation counters, in-flight requests, RNG
      *  stream and everything recorded. */
@@ -102,9 +113,18 @@ class ClientFarm : public LoadGenerator
         bool running = false;
         std::uint64_t generation = 0;
         sim::RequestId nextReq = 1;
+        /** Oldest request whose expiry has not fired: ids below it
+         *  are answered or failed. */
+        sim::RequestId base = 1;
         std::size_t rrServer = 0;
         std::size_t rrClient = 0;
-        std::unordered_set<sim::RequestId> pending;
+        /**
+         * Power-of-two ring of in-flight flags, one bit per id in
+         * [base, nextReq), at bit (id mod ring size). A set bit is a
+         * request neither answered nor expired; bits outside the
+         * window are clear.
+         */
+        std::vector<std::uint64_t> live;
         Tally tally;
     };
 

@@ -32,6 +32,10 @@ SessionFarm::SessionFarm(sim::Simulation &s, net::Network &client_net,
       clientPorts_(std::move(client_ports)), cfg_(cfg),
       profile_(std::move(profile)),
       zipf_(cfg.numFiles, cfg.zipfAlpha),
+      connectLane_(s.events().addLane<&SessionFarm::expire>(
+          cfg.connectTimeout, this)),
+      requestLane_(s.events().addLane<&SessionFarm::expire>(
+          cfg.requestTimeout, this)),
       st_{.rng = s.splitRng(kLoadgenRngSalt),
           .sessions = {},
           .tally = Tally(profile_.reserveSlices)}
@@ -68,7 +72,6 @@ SessionFarm::stop()
     // and pending expiries no-ops.
     for (auto &sess : st_.sessions) {
         if (sess.inFlight) {
-            sim_.events().cancel(sess.expiry);
             sess.inFlight = false;
             ++sess.seq;
         }
@@ -135,12 +138,9 @@ SessionFarm::sendRequest(std::size_t idx)
 
     // First request on a connection pays the connect timeout; later
     // ones reuse the connection and get the request timeout.
-    sim::Tick deadline = sess.firstRequest
-                             ? cfg_.connectTimeout
-                             : cfg_.requestTimeout;
-    std::uint32_t seq = sess.seq;
-    sess.expiry = sim_.scheduleIn(
-        deadline, [this, idx, seq] { expire(idx, seq); });
+    sim_.events().scheduleLane(
+        sess.firstRequest ? connectLane_ : requestLane_,
+        encodeReq(idx, sess.seq));
 }
 
 void
@@ -157,7 +157,6 @@ SessionFarm::onResponse(net::Frame &&f)
     if (!sess.inFlight || sess.seq != seq)
         return; // timed out (or from a previous session); drop
 
-    sim_.events().cancel(sess.expiry);
     sess.inFlight = false;
 
     recordResponseLatency(st_.tally.timeline, sim_.now(), *body,
@@ -176,10 +175,11 @@ SessionFarm::onResponse(net::Frame &&f)
 }
 
 void
-SessionFarm::expire(std::size_t idx, std::uint32_t seq)
+SessionFarm::expire(sim::RequestId req)
 {
+    std::size_t idx = static_cast<std::size_t>(req >> 32) - 1;
     Session &sess = st_.sessions[idx];
-    if (!sess.inFlight || sess.seq != seq)
+    if (!sess.inFlight || sess.seq != static_cast<std::uint32_t>(req))
         return; // answered in time
     sess.inFlight = false;
     st_.tally.fail(sim_.now());

@@ -9,8 +9,10 @@
  *
  * Steady state is allocation-free: the session table is a fixed
  * vector, responses are matched by an index encoded in the request id
- * (no map), expiry timers are slab-backed EventHandles cancelled on
- * response, and latencies go into pre-reserved histograms.
+ * (no map), expiries go on two fixed-delay event-queue lanes (connect
+ * and request timeout) and are never cancelled — an expiry whose
+ * request was answered finds a newer seq and does nothing — and
+ * latencies go into pre-reserved histograms.
  *
  * All randomness (think times, session lengths, file picks) draws
  * from a split RNG stream, never from the shared sim.rng().
@@ -69,14 +71,15 @@ class SessionFarm : public LoadGenerator
         sim::Tick sentAt = 0;
         bool inFlight = false;
         bool firstRequest = true; ///< first on this connection
-        sim::EventHandle expiry;
     };
 
     void beginSession(std::size_t idx);
     void think(std::size_t idx);
     void sendRequest(std::size_t idx);
     void onResponse(net::Frame &&f);
-    void expire(std::size_t idx, std::uint32_t seq);
+    /** Timeout of request @p req (an encodeReq() id); ignored unless
+     *  it is still its session's request in flight. */
+    void expire(sim::RequestId req);
 
     sim::RequestId
     encodeReq(std::size_t idx, std::uint32_t seq) const
@@ -91,10 +94,11 @@ class SessionFarm : public LoadGenerator
     WorkloadConfig cfg_;
     LoadProfileSpec profile_;
     sim::ZipfSampler zipf_;
+    sim::EventQueue::LaneId connectLane_;
+    sim::EventQueue::LaneId requestLane_;
 
-    /** Snapshot state: the session table (expiry EventHandles stay
-     *  valid because the event queue restores slot-for-slot), RNG
-     *  stream and everything recorded. */
+    /** Snapshot state: the session table, RNG stream and everything
+     *  recorded. Pending expiries live in the event queue's lanes. */
     struct State
     {
         sim::Rng rng;

@@ -109,41 +109,94 @@ EventQueue::maybeCompact()
     std::make_heap(st_.heap.begin(), st_.heap.end(), Later{});
 }
 
+void
+EventQueue::fireLane(std::size_t i)
+{
+    RingBuffer<LaneEntry> &lane = st_.lanes[i];
+    LaneEntry e = lane.front();
+    lane.pop_front();
+    st_.now = e.when;
+    ++st_.executed;
+    const Lane &w = laneWiring_[i];
+    w.fn(w.obj, e.tag);
+}
+
+inline std::size_t
+EventQueue::next(Tick &when)
+{
+    pruneStaleHead();
+    std::size_t pick = nextIsNone;
+    std::uint64_t seq = 0;
+    if (!st_.heap.empty()) {
+        pick = nextIsHeap;
+        when = st_.heap.front().when;
+        seq = st_.heap.front().seq;
+    }
+    for (std::size_t i = 0; i < st_.lanes.size(); ++i) {
+        if (st_.lanes[i].empty())
+            continue;
+        const LaneEntry &e = st_.lanes[i].front();
+        if (pick == nextIsNone || e.when < when ||
+            (e.when == when && e.seq < seq)) {
+            pick = i;
+            when = e.when;
+            seq = e.seq;
+        }
+    }
+    return pick;
+}
+
+inline void
+EventQueue::firePick(std::size_t pick)
+{
+    if (pick == nextIsHeap)
+        fire(popHead());
+    else
+        fireLane(pick);
+}
+
+EventQueue::LaneId
+EventQueue::addLane(Tick delay, void *obj,
+                    void (*fn)(void *obj, std::uint64_t tag))
+{
+    laneWiring_.push_back(Lane{delay, obj, fn});
+    st_.lanes.emplace_back();
+    return static_cast<LaneId>(laneWiring_.size() - 1);
+}
+
 bool
 EventQueue::runOne()
 {
-    pruneStaleHead();
-    if (st_.heap.empty())
+    Tick when = 0;
+    std::size_t pick = next(when);
+    if (pick == nextIsNone)
         return false;
-    fire(popHead());
+    firePick(pick);
     return true;
-}
-
-void
-EventQueue::runUntil(Tick limit)
-{
-    for (;;) {
-        pruneStaleHead();
-        if (st_.heap.empty() || st_.heap.front().when > limit)
-            break;
-        fire(popHead());
-    }
-    if (st_.now < limit)
-        st_.now = limit;
 }
 
 void
 EventQueue::runAll(Tick limit)
 {
-    // Prune before the limit check: a cancelled head must not let an
-    // event scheduled after @p limit execute (historical overshoot
-    // bug — runOne() skips cancelled entries unconditionally).
+    // next() prunes before the limit check: a cancelled head must not
+    // let an event scheduled after @p limit execute (historical
+    // overshoot bug — runOne() skips cancelled entries
+    // unconditionally).
     for (;;) {
-        pruneStaleHead();
-        if (st_.heap.empty() || st_.heap.front().when > limit)
+        Tick when = 0;
+        std::size_t pick = next(when);
+        if (pick == nextIsNone || when > limit)
             break;
-        fire(popHead());
+        firePick(pick);
     }
+}
+
+void
+EventQueue::runUntil(Tick limit)
+{
+    runAll(limit);
+    if (st_.now < limit)
+        st_.now = limit;
 }
 
 } // namespace performa::sim

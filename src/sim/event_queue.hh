@@ -16,7 +16,22 @@
  * are dropped when they reach the top of the heap, and when they ever
  * outnumber live entries the heap is compacted in one pass, so the
  * heap stays bounded at < 2x the number of live events even under
- * cancel-heavy workloads (TCP retransmit timers, request expiries).
+ * cancel-heavy workloads (TCP retransmit timers).
+ *
+ * Fixed-delay lanes: an event that is always scheduled a constant
+ * delay after now, always by the same handler, and never cancelled
+ * (a client's request deadline) can go on a lane instead of the heap.
+ * A lane is a FIFO ring of plain {when, seq, tag} entries; its one
+ * handler is wiring registered at construction (addLane), so an entry
+ * needs no slab record and no callable. Because now never decreases
+ * and seq only grows, `now + delay` makes every lane sorted by
+ * (when, seq), so each lane's front is its minimum. The run loops
+ * take the smallest (when, seq) over the heap head and the lane
+ * fronts; entries draw seq from the same counter as heap events, so a
+ * lane event runs at exactly the position in the event stream it
+ * would have had in the heap. Lane entries have no handle and cannot
+ * be cancelled: removing one from the middle would break the ring,
+ * and a stale deadline is cheaper to ignore when it fires.
  */
 
 #ifndef PERFORMA_SIM_EVENT_QUEUE_HH
@@ -26,6 +41,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/logging.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
 
@@ -78,6 +95,9 @@ class EventQueue
   public:
     using Handler = SmallFn;
 
+    /** Index of a fixed-delay lane, as returned by addLane(). */
+    using LaneId = std::uint32_t;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -101,6 +121,35 @@ class EventQueue
     void cancel(EventHandle &h);
 
     /**
+     * Register a fixed-delay lane whose events call `obj->*Method(tag)`
+     * @p delay ticks after they are scheduled, e.g.
+     * `addLane<&ClientFarm::expire>(timeout, this)`. Lanes are wiring:
+     * add them at construction, before any snapshot is captured.
+     */
+    template <auto Method, typename T>
+    LaneId
+    addLane(Tick delay, T *obj)
+    {
+        return addLane(delay, obj, [](void *o, std::uint64_t tag) {
+            (static_cast<T *>(o)->*Method)(tag);
+        });
+    }
+
+    /**
+     * Schedule @p lane's handler with @p tag at now + the lane's delay.
+     * The entry takes the next sequence number, exactly as schedule()
+     * would, and cannot be cancelled.
+     */
+    void
+    scheduleLane(LaneId lane, std::uint64_t tag)
+    {
+        if (lane >= st_.lanes.size())
+            PANIC("lane ", lane, " was not added before this state");
+        st_.lanes[lane].push_back(
+            LaneEntry{st_.now + laneWiring_[lane].delay, st_.nextSeq++, tag});
+    }
+
+    /**
      * Run the single next event, advancing time to it.
      * @return false if no live event remains.
      */
@@ -119,14 +168,28 @@ class EventQueue
      */
     void runAll(Tick limit = maxTick);
 
-    /** @return number of live (not cancelled, not yet fired) events. */
-    std::size_t pending() const { return st_.live; }
+    /**
+     * @return number of events not yet fired: live (uncancelled) heap
+     * events plus every lane entry.
+     */
+    std::size_t pending() const { return st_.live + laneDepth(); }
 
     /**
      * @return heap entries held: live events plus lazily-deleted
      * cancelled ones awaiting compaction (introspection/benchmarks).
+     * Lane entries are not in the heap; see laneDepth().
      */
     std::size_t heapSize() const { return st_.heap.size(); }
+
+    /** @return entries waiting on all lanes together. */
+    std::size_t
+    laneDepth() const
+    {
+        std::size_t n = 0;
+        for (const RingBuffer<LaneEntry> &l : st_.lanes)
+            n += l.size();
+        return n;
+    }
 
     /** @return total number of events executed so far. */
     std::uint64_t executed() const { return st_.executed; }
@@ -150,6 +213,26 @@ class EventQueue
         std::uint32_t slot;
         std::uint32_t gen;
     };
+
+    /** Lane entry: plain data; the lane's wiring holds the handler. */
+    struct LaneEntry
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint64_t tag;
+    };
+
+    /** A lane's wiring, fixed at construction (outside State). */
+    struct Lane
+    {
+        Tick delay;
+        void *obj;
+        void (*fn)(void *obj, std::uint64_t tag);
+    };
+
+    /** Sentinels for next(): the heap head is next, or nothing is. */
+    static constexpr std::size_t nextIsHeap = ~std::size_t{0};
+    static constexpr std::size_t nextIsNone = nextIsHeap - 1;
 
     struct Later
     {
@@ -178,14 +261,33 @@ class EventQueue
     /** Execute @p e: advance time, retire the slot, invoke the handler. */
     void fire(const HeapEntry &e);
 
+    /** Pop and execute the front entry of lane @p i (must exist). */
+    void fireLane(std::size_t i);
+
+    /**
+     * Find the next event by (when, seq) over the heap head and every
+     * lane front, pruning cancelled heap heads first.
+     * @return its lane index, nextIsHeap or nextIsNone; @p when is
+     * set to its time unless nextIsNone.
+     */
+    std::size_t next(Tick &when);
+
+    /** Execute the event next() picked (not nextIsNone). */
+    void firePick(std::size_t pick);
+
+    /** Add the wiring of a lane; see the public addLane(). */
+    LaneId addLane(Tick delay, void *obj,
+                   void (*fn)(void *obj, std::uint64_t tag));
+
     /** Rebuild the heap without cancelled entries when they dominate. */
     void maybeCompact();
 
     /**
      * Everything a snapshot captures: clock, sequence counter, the
-     * record slab (handlers copied), free list and heap. Restoring it
-     * rewinds the queue slot for slot, so outstanding EventHandle
-     * {slot, gen} triples from snapshot time become valid again.
+     * record slab (handlers copied), free list, heap and lane entries.
+     * Restoring it rewinds the queue slot for slot, so outstanding
+     * EventHandle {slot, gen} triples from snapshot time become valid
+     * again.
      */
     struct State
     {
@@ -196,9 +298,11 @@ class EventQueue
         std::vector<Record> records;
         std::vector<std::uint32_t> freeSlots;
         std::vector<HeapEntry> heap;
+        std::vector<RingBuffer<LaneEntry>> lanes; ///< by LaneId
     };
 
     State st_;
+    std::vector<Lane> laneWiring_; ///< by LaneId
 };
 
 } // namespace performa::sim

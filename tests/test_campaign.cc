@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -129,6 +130,39 @@ TEST(Runner, ThrowingJobIsReportedOthersComplete)
             EXPECT_TRUE(rep.jobs[static_cast<std::size_t>(i)].ok);
         }
     }
+}
+
+TEST(Runner, StartsNoMoreWorkersThanStrands)
+{
+    // Asking for 32 workers with two strands of work must start two
+    // threads, not 32 idle ones. Counted from the kernel's view of this
+    // process's threads, so it sees workers that never ran a job.
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self/task to count threads";
+    auto threads = [] {
+        auto it = std::filesystem::directory_iterator("/proc/self/task");
+        return std::distance(it, std::filesystem::directory_iterator{});
+    };
+    const auto before = threads();
+    std::mutex mu;
+    std::ptrdiff_t peak = 0;
+    std::vector<campaign::Job> jobs;
+    for (int i = 0; i < 6; ++i) {
+        campaign::Job j;
+        j.label = "job" + std::to_string(i);
+        j.strand = i % 2 ? "odd" : "even";
+        j.work = [&](const campaign::Job &) {
+            std::lock_guard<std::mutex> lk(mu);
+            peak = std::max<std::ptrdiff_t>(peak, threads());
+        };
+        jobs.push_back(std::move(j));
+    }
+    campaign::RunnerConfig rc;
+    rc.workers = 32;
+    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
+    EXPECT_TRUE(rep.allOk());
+    EXPECT_GT(peak, before);
+    EXPECT_LE(peak, before + 2);
 }
 
 TEST(Runner, CancelOnFailureSkipsRemainingJobs)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event engine: ordering, determinism,
- * cancellation, and time-advance semantics, plus SmallFn handler
- * copies.
+ * cancellation, time-advance semantics and fixed-delay lanes, plus
+ * SmallFn handler copies.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/small_fn.hh"
+#include "sim/snapshot.hh"
 
 using namespace performa::sim;
 
@@ -340,6 +341,148 @@ TEST(EventQueueDeath, SchedulingInThePastPanics)
     q.schedule(100, [] {});
     q.runAll();
     EXPECT_DEATH(q.schedule(50, [] {}), "past");
+}
+
+namespace {
+
+/** A lane handler that logs (time, tag) into a log shared with heap
+ *  events. */
+struct LaneLog
+{
+    EventQueue &q;
+    std::vector<std::pair<Tick, std::uint64_t>> fired;
+
+    void hit(std::uint64_t tag) { fired.emplace_back(q.now(), tag); }
+
+    /** A heap event that logs @p tag when it runs. */
+    SmallFn
+    heapHit(std::uint64_t tag)
+    {
+        return [this, tag] { hit(tag); };
+    }
+};
+
+using Fired = std::vector<std::pair<Tick, std::uint64_t>>;
+
+} // namespace
+
+TEST(EventQueueLane, SameTickHeapAndLaneEventsFireInScheduleOrder)
+{
+    EventQueue q;
+    LaneLog log{q, {}};
+    EventQueue::LaneId lane = q.addLane<&LaneLog::hit>(10, &log);
+    q.schedule(10, log.heapHit(1));
+    q.scheduleLane(lane, 2);
+    q.schedule(10, log.heapHit(3));
+    q.scheduleLane(lane, 4);
+    q.scheduleLane(lane, 5);
+    q.schedule(10, log.heapHit(6));
+    q.schedule(9, log.heapHit(0));
+    q.runAll();
+    EXPECT_EQ(log.fired, (Fired{{9, 0}, {10, 1}, {10, 2}, {10, 3},
+                                {10, 4}, {10, 5}, {10, 6}}));
+    EXPECT_EQ(q.executed(), 7u);
+}
+
+TEST(EventQueueLane, TwoLanesWithDifferentDelaysMerge)
+{
+    EventQueue q;
+    LaneLog log{q, {}};
+    EventQueue::LaneId slow = q.addLane<&LaneLog::hit>(5, &log);
+    EventQueue::LaneId fast = q.addLane<&LaneLog::hit>(3, &log);
+    q.scheduleLane(slow, 1); // t=5
+    q.scheduleLane(fast, 2); // t=3
+    q.schedule(2, [&] {
+        q.scheduleLane(slow, 3); // t=7
+        q.scheduleLane(fast, 4); // t=5, after tag 1
+    });
+    q.schedule(4, [&] { q.scheduleLane(fast, 5); }); // t=7, after 3
+    q.runAll();
+    EXPECT_EQ(log.fired,
+              (Fired{{3, 2}, {5, 1}, {5, 4}, {7, 3}, {7, 5}}));
+}
+
+TEST(EventQueueLane, RunLoopsNeverRunALaneHeadPastTheLimit)
+{
+    EventQueue q;
+    LaneLog log{q, {}};
+    EventQueue::LaneId lane = q.addLane<&LaneLog::hit>(10, &log);
+    q.scheduleLane(lane, 1);
+    EventHandle doomed = q.schedule(5, [] {});
+    q.cancel(doomed); // a cancelled heap head ahead of the lane head
+    q.runAll(9);
+    EXPECT_TRUE(log.fired.empty());
+    EXPECT_EQ(q.now(), 0u);
+    q.runUntil(9);
+    EXPECT_TRUE(log.fired.empty());
+    EXPECT_EQ(q.now(), 9u);
+    q.runUntil(10);
+    EXPECT_EQ(log.fired, (Fired{{10, 1}}));
+    EXPECT_FALSE(q.runOne());
+}
+
+TEST(EventQueueLane, PendingCountsLaneEntries)
+{
+    EventQueue q;
+    LaneLog log{q, {}};
+    EventQueue::LaneId lane = q.addLane<&LaneLog::hit>(10, &log);
+    for (std::uint64_t t = 0; t < 3; ++t)
+        q.scheduleLane(lane, t);
+    q.schedule(4, [] {});
+    EXPECT_EQ(q.pending(), 4u);
+    EXPECT_EQ(q.laneDepth(), 3u);
+    EXPECT_EQ(q.heapSize(), 1u);
+    EXPECT_TRUE(q.runOne());
+    EXPECT_TRUE(q.runOne());
+    EXPECT_EQ(q.pending(), 2u);
+    EXPECT_EQ(q.laneDepth(), 2u);
+    q.runAll();
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.executed(), 4u);
+}
+
+TEST(EventQueueLane, ForkedQueueWithLaneEntriesReplaysIdentically)
+{
+    EventQueue q;
+    LaneLog log{q, {}};
+    EventQueue::LaneId lane = q.addLane<&LaneLog::hit>(7, &log);
+    // A self-rescheduling heap chain that keeps feeding the lane, so
+    // lane entries exist at capture time and keep arriving after it.
+    std::uint64_t next = 0;
+    SmallFn tick;
+    tick = [&] {
+        q.scheduleLane(lane, next++);
+        log.hit(1000 + next);
+        if (q.now() < 40)
+            q.schedule(q.now() + 3, tick);
+    };
+    q.schedule(0, tick);
+    q.runUntil(20);
+    ASSERT_GT(q.laneDepth(), 0u);
+
+    SnapshotRegistry reg;
+    reg.attach(q);
+    Snapshot snap = reg.capture();
+    std::uint64_t nextAtSnap = next;
+    log.fired.clear();
+    q.runAll();
+    Fired first = log.fired;
+    std::uint64_t executed = q.executed();
+    ASSERT_FALSE(first.empty());
+
+    reg.forkFrom(snap);
+    next = nextAtSnap;
+    log.fired.clear();
+    EXPECT_EQ(q.now(), 20u);
+    q.runAll();
+    EXPECT_EQ(log.fired, first);
+    EXPECT_EQ(q.executed(), executed);
+}
+
+TEST(EventQueueDeath, SchedulingOnAMissingLanePanics)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.scheduleLane(0, 1), "lane");
 }
 
 /** Property sweep: N events at random times always run sorted. */

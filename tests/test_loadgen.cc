@@ -411,27 +411,34 @@ TEST(SessionFarm, StopCeasesActivity)
 
 TEST(SessionFarm, ServedRequestsDoNotLeakExpiryTimers)
 {
-    // Every request arms an expiry; a response must cancel it, or the
-    // queue carries one dead timer per served request.
+    // Every request puts its expiry on a lane, and a response does not
+    // remove it: the expiry fires as a no-op at its deadline. So the
+    // expiries waiting at any time belong to requests sent within the
+    // last timeout, never one per request ever served.
     StampWorld w;
     constexpr std::size_t users = 50;
     loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
                               smallConfig(), sessionsOf(users, msec(10)));
     farm.start();
     w.s.runUntil(sec(5));
-    ASSERT_GT(farm.tally().totalServed, 10000u);
-    // Live events: one think or expiry timer per seat plus a handful
-    // of in-flight frames — nothing proportional to requests served.
-    EXPECT_LT(w.s.events().pending(), users * 3);
-    // The heap is bounded too (cancelled entries are compacted away).
-    EXPECT_LT(w.s.events().heapSize(), users * 6);
+    std::uint64_t offeredAt5 = farm.tally().totalOffered;
+    w.s.runUntil(sec(11));
+    ASSERT_GT(farm.tally().totalServed, 20000u);
+    const EventQueue &q = w.s.events();
+    // The longest timeout is 6 s: every expiry of a request sent by
+    // 5 s has fired by 11 s.
+    EXPECT_LE(q.laneDepth(), farm.tally().totalOffered - offeredAt5);
+    // Heap events: one think timer per seat plus a handful of
+    // in-flight frames — nothing proportional to requests served.
+    EXPECT_LT(q.pending() - q.laneDepth(), users * 3);
+    EXPECT_LT(q.heapSize(), users * 6);
 }
 
 TEST(SessionFarm, StopCancelsInFlightExpiries)
 {
-    // Requests in flight at stop() are abandoned: their expiry timers
-    // are cancelled, so running past the timeout records no late
-    // failures.
+    // Requests in flight at stop() are abandoned: their expiries fire
+    // as no-ops, so running past the timeout records no late failures
+    // and leaves nothing queued.
     StampWorld w;
     w.respond = false;
     loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,

@@ -13,6 +13,7 @@
 
 #include "campaign/phase1.hh"
 #include "core/performability.hh"
+#include "core/scenarios.hh"
 #include "exp/behavior_db.hh"
 #include "exp/stages.hh"
 
@@ -296,4 +297,69 @@ TEST(ProfileSeeds, ProfileEntersTheConfigButSloDoesNot)
     exp::ExperimentConfig withSlo = campaign::phase1Config(
         press::Version::TcpPress, fault::FaultKind::NodeCrash, slo);
     EXPECT_EQ(withSlo.seed, base.seed);
+}
+
+namespace {
+
+/** A result whose only fault contribution is @p k's two shares. */
+PerfResult
+withShares(fault::FaultKind k, double u, double su, double p = 4000,
+           double pSlo = 3000)
+{
+    PerfResult r;
+    r.performability = p;
+    r.sloPerformability = pSlo;
+    r.breakdown.push_back({"fault", k, u, 0.0, su});
+    return r;
+}
+
+} // namespace
+
+TEST(RankingFlips, ValuesThatPrintAlikeAreTies)
+{
+    // Two versions a hair apart on SLO unavailability: both print as
+    // 0.000703, so "0.000703 > 0.000703" must not be reported as a
+    // flip against the throughput order (0.000692 < 0.0007).
+    using fault::FaultKind;
+    std::vector<std::pair<press::Version, PerfResult>> rows = {
+        {press::Version::ViaPress0,
+         withShares(FaultKind::NodeCrash, 0.000692, 0.00070312)},
+        {press::Version::TcpPressHb,
+         withShares(FaultKind::NodeCrash, 0.0007, 0.00070304)},
+    };
+    EXPECT_TRUE(rankingFlips(rows).empty());
+
+    // Likewise P values equal to one decimal are tied overall.
+    rows[0].second.performability = 4000.04;
+    rows[1].second.performability = 4000.01;
+    rows[1].second.sloPerformability = 3100;
+    EXPECT_TRUE(rankingFlips(rows).empty());
+}
+
+TEST(RankingFlips, RealFlipsAreReportedWithTheVersionAheadFirst)
+{
+    using fault::FaultKind;
+    std::vector<std::pair<press::Version, PerfResult>> rows = {
+        {press::Version::TcpPress,
+         withShares(FaultKind::LinkDown, 0.0009, 0.0005, 3900, 3100)},
+        {press::Version::ViaPress5,
+         withShares(FaultKind::LinkDown, 0.0007, 0.0008, 4000, 3000)},
+    };
+    std::vector<RankingFlip> flips = rankingFlips(rows);
+    ASSERT_EQ(flips.size(), 2u);
+
+    EXPECT_FALSE(flips[0].fault);
+    EXPECT_EQ(flips[0].ahead, press::Version::ViaPress5);
+    EXPECT_EQ(flips[0].behind, press::Version::TcpPress);
+    EXPECT_EQ(flips[0].tputAhead, 4000);
+    EXPECT_EQ(flips[0].sloBehind, 3100);
+
+    ASSERT_TRUE(flips[1].fault);
+    EXPECT_EQ(*flips[1].fault, FaultKind::LinkDown);
+    EXPECT_EQ(flips[1].ahead, press::Version::ViaPress5);
+    EXPECT_EQ(flips[1].behind, press::Version::TcpPress);
+    EXPECT_EQ(flips[1].tputAhead, 0.0007);
+    EXPECT_EQ(flips[1].tputBehind, 0.0009);
+    EXPECT_EQ(flips[1].sloAhead, 0.0008);
+    EXPECT_EQ(flips[1].sloBehind, 0.0005);
 }

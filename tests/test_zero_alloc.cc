@@ -17,6 +17,7 @@
 #include <memory>
 #include <new>
 
+#include "loadgen/client_farm.hh"
 #include "loadgen/session_farm.hh"
 #include "net/network.hh"
 #include "os/node.hh"
@@ -311,6 +312,81 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
                   .cumulative(sim::LatencyStage::Total)
                   .count(),
               0u);
+    EXPECT_EQ(g_news, 0u) << "heap allocations in the steady state";
+    EXPECT_EQ(s.pool().freshAllocs(), fresh_before)
+        << "payload pool carved fresh blocks in the steady state";
+}
+
+TEST(ZeroAlloc, ClientFarmFloodSteadyStateAllocatesNothing)
+{
+    sim::Simulation s{13};
+    net::Network net{s};
+    std::vector<net::PortId> servers, clients;
+    for (int i = 0; i < 2; ++i)
+        servers.push_back(net.addPort());
+    for (int i = 0; i < 2; ++i)
+        clients.push_back(net.addPort());
+
+    // A stamp-echoing server that leaves every 16th request
+    // unanswered, so expiries keep failing requests in the window.
+    for (net::PortId p : servers) {
+        net.setHandler(p, [&s, &net, p](net::Frame &&f) {
+            auto *req = f.payload.get<press::ClientRequestBody>();
+            if (req->req % 16 == 0)
+                return;
+            net::Frame r;
+            r.srcPort = p;
+            r.dstPort = req->replyPort;
+            r.proto = net::Proto::Client;
+            r.kind = press::ClientResponse;
+            r.bytes = 8192;
+            auto body = s.makePayload<press::ClientResponseBody>();
+            body->req = req->req;
+            body->sentAt = req->sentAt;
+            body->acceptedAt = s.now();
+            body->serviceStartAt = s.now();
+            r.payload = std::move(body);
+            net.send(std::move(r));
+        });
+    }
+
+    loadgen::WorkloadConfig cfg;
+    cfg.requestRate = 2000;
+    cfg.numFiles = 500;
+    loadgen::LoadProfileSpec profile;
+    profile.reserveSlices = 64; // covers the whole run below
+    loadgen::ClientFarm farm(s, net, servers, clients, cfg, profile);
+    farm.start();
+
+    // Warm-up past the 6 s request timeout: the expiry lane and the
+    // live-flag ring hold a full timeout window of requests, and the
+    // first expiries have fired.
+    s.runUntil(sim::sec(10));
+    ASSERT_GT(farm.tally().totalFailed, 0u);
+
+    // Pre-carve pool capacity past any stochastic in-flight peak.
+    {
+        std::vector<sim::Rc<press::ClientRequestBody>> reqs;
+        std::vector<sim::Rc<press::ClientResponseBody>> resps;
+        constexpr std::size_t n = 1024;
+        reqs.reserve(n);
+        resps.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            reqs.push_back(s.makePayload<press::ClientRequestBody>());
+            resps.push_back(s.makePayload<press::ClientResponseBody>());
+        }
+    } // handles drop here; the blocks land on the free lists
+
+    std::uint64_t fresh_before = s.pool().freshAllocs();
+    std::uint64_t served_before = farm.tally().totalServed;
+    std::uint64_t failed_before = farm.tally().totalFailed;
+    g_news = 0;
+    g_counting = true;
+    s.runUntil(sim::sec(20));
+    g_counting = false;
+
+    EXPECT_GT(farm.tally().totalServed, served_before + 10000);
+    EXPECT_GT(farm.tally().totalFailed, failed_before + 500);
     EXPECT_EQ(g_news, 0u) << "heap allocations in the steady state";
     EXPECT_EQ(s.pool().freshAllocs(), fresh_before)
         << "payload pool carved fresh blocks in the steady state";
