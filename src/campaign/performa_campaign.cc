@@ -111,17 +111,18 @@ parseNumber(const char *opt, const std::string &tok, bool positive = false)
 }
 
 /** Parse a worker count for @p what (--jobs or PERFORMA_JOBS): 0
- *  means the default, more than campaign::maxWorkers exits 2. */
+ *  means the default, a value parseWorkerCount refuses exits 2. */
 unsigned
 parseJobs(const char *what, const std::string &tok)
 {
-    unsigned n = parseNumber<unsigned>(what, tok);
-    if (n > campaign::maxWorkers) {
-        std::fprintf(stderr, "bad %s value: '%s' (at most %u workers)\n",
+    std::optional<unsigned> n = campaign::parseWorkerCount(tok);
+    if (!n) {
+        std::fprintf(stderr,
+                     "bad %s value: '%s' (a worker count from 0 to %u)\n",
                      what, tok.c_str(), campaign::maxWorkers);
         std::exit(2);
     }
-    return n;
+    return *n;
 }
 
 std::string

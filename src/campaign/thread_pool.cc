@@ -1,8 +1,10 @@
 #include "campaign/thread_pool.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <string>
+
+#include "sim/logging.hh"
 
 namespace performa::campaign {
 
@@ -91,15 +93,27 @@ ThreadPool::workerLoop()
     }
 }
 
+std::optional<unsigned>
+parseWorkerCount(std::string_view text)
+{
+    unsigned n = 0;
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, n);
+    if (text.empty() || ec != std::errc() || stop != end || n > maxWorkers)
+        return std::nullopt;
+    return n;
+}
+
 unsigned
 defaultWorkerCount()
 {
     if (const char *env = std::getenv("PERFORMA_JOBS")) {
-        char *end = nullptr;
-        long n = std::strtol(env, &end, 10);
-        if (end && *end == '\0' && n > 0)
-            return static_cast<unsigned>(
-                std::min<long>(n, maxWorkers));
+        std::optional<unsigned> n = parseWorkerCount(env);
+        if (!n)
+            FATAL("bad PERFORMA_JOBS value '", env,
+                  "' (a worker count from 0 to ", maxWorkers, ")");
+        if (*n > 0)
+            return *n;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? std::min(hw, maxWorkers) : 1;

@@ -14,6 +14,8 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,16 +74,20 @@ class ThreadPool
 /**
  * The most workers a campaign may ask for. Each busy worker holds a
  * whole simulated world (tens to hundreds of MB), so more than this
- * would exhaust memory long before it helped; the campaign CLI
- * refuses larger --jobs and PERFORMA_JOBS values.
+ * would exhaust memory long before it helped; larger --jobs and
+ * PERFORMA_JOBS values are refused.
  */
 inline constexpr unsigned maxWorkers = 256;
 
+/** Parse a worker count (--jobs, PERFORMA_JOBS; 0 = the default):
+ *  nullopt unless all of @p text is a number from 0 to maxWorkers. */
+std::optional<unsigned> parseWorkerCount(std::string_view text);
+
 /**
- * Worker count to use when the caller didn't pick one: the
- * PERFORMA_JOBS environment variable when set to a positive integer,
- * otherwise std::thread::hardware_concurrency() (minimum 1); at most
- * maxWorkers either way.
+ * Worker count to use when the caller didn't pick one: PERFORMA_JOBS
+ * when set and not 0, else std::thread::hardware_concurrency()
+ * (minimum 1, at most maxWorkers). A PERFORMA_JOBS value that
+ * parseWorkerCount() refuses is FATAL.
  */
 unsigned defaultWorkerCount();
 

@@ -61,8 +61,7 @@ hasDuration(FaultKind k)
 void
 Injector::emit(const std::string &what, sim::NodeId node)
 {
-    if (onEvent_)
-        onEvent_(sim_.now(), what, node);
+    onEvent_(sim_.now(), what, node);
 }
 
 void

@@ -11,12 +11,12 @@
 #ifndef PERFORMA_FAULTS_INJECTOR_HH
 #define PERFORMA_FAULTS_INJECTOR_HH
 
-#include <functional>
 #include <string>
 
 #include "faults/fault.hh"
 #include "press/cluster.hh"
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 
 namespace performa::fault {
 
@@ -29,7 +29,7 @@ class Injector
   public:
     /** (time, what-happened, affected node or invalidNode). */
     using EventFn =
-        std::function<void(sim::Tick, const std::string &, sim::NodeId)>;
+        sim::SmallFn<void(sim::Tick, const std::string &, sim::NodeId)>;
 
     Injector(sim::Simulation &s, press::Cluster &cluster)
         : sim_(s), cluster_(cluster)
@@ -53,7 +53,7 @@ class Injector
 
     sim::Simulation &sim_;
     press::Cluster &cluster_;
-    EventFn onEvent_;
+    EventFn onEvent_ = [](sim::Tick, const std::string &, sim::NodeId) {};
 };
 
 } // namespace performa::fault

@@ -25,11 +25,11 @@
 #define PERFORMA_NET_NETWORK_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/frame.hh"
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::sim {
@@ -87,8 +87,8 @@ struct PortStats
 class Network
 {
   public:
-    using Handler = std::function<void(Frame &&)>;
-    using Outcome = std::function<void(bool delivered)>;
+    using Handler = sim::SmallFn<void(Frame &&)>;
+    using Outcome = sim::SmallFn<void(bool delivered)>;
 
     Network(sim::Simulation &s, NetworkConfig cfg = {});
 

@@ -5,7 +5,7 @@
 namespace performa::osim {
 
 void
-Cpu::exec(sim::Tick cost, sim::SmallFn done)
+Cpu::exec(sim::Tick cost, sim::SmallFn<void()> done)
 {
     st_.queue.push_back(Item{cost, std::move(done)});
     maybeStart();
@@ -53,7 +53,7 @@ Cpu::maybeStart()
         st_.running = false;
         // Move out before invoking: the completion may call exec(),
         // which starts the next item and overwrites st_.inflight.
-        sim::SmallFn done = std::move(st_.inflight.done);
+        sim::SmallFn<void()> done = std::move(st_.inflight.done);
         done();
         maybeStart();
     });

@@ -42,7 +42,7 @@ class Cpu
      * when the item retires. Small completions (the common `this` +
      * id captures) are stored inline, allocation-free.
      */
-    void exec(sim::Tick cost, sim::SmallFn done);
+    void exec(sim::Tick cost, sim::SmallFn<void()> done);
 
     /**
      * Suspend processing. Pauses nest (a node freeze on top of a
@@ -70,7 +70,7 @@ class Cpu
     struct Item
     {
         sim::Tick cost;
-        sim::SmallFn done;
+        sim::SmallFn<void()> done;
     };
 
     /** Start the next item if the lane is free. */

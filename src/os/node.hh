@@ -9,8 +9,8 @@
 #define PERFORMA_OS_NODE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hh"
@@ -18,6 +18,7 @@
 #include "os/memory.hh"
 #include "os/service.hh"
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::osim {
@@ -117,7 +118,7 @@ class Node
 
     /// @name Lifecycle notifications (for protocol stacks)
     /// @{
-    void onCrash(std::function<void()> fn) { crashFns_.push_back(fn); }
+    void onCrash(sim::SmallFn<void()> f) { crashFns_.push_back(std::move(f)); }
     /** @} */
 
   private:
@@ -140,7 +141,7 @@ class Node
 
     Service *service_ = nullptr;
 
-    std::vector<std::function<void()>> crashFns_;
+    std::vector<sim::SmallFn<void()>> crashFns_;
 
     /**
      * Snapshot state: the lifecycle. The owned CPU and memory managers

@@ -17,9 +17,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
@@ -46,11 +46,9 @@ class FileCache
 
   public:
     /** Try to pin @p bytes; false when the budget is exhausted. */
-    using PinHook = std::function<bool(std::uint64_t)>;
+    using PinHook = sim::SmallFn<bool(std::uint64_t)>;
     /** Unpin @p bytes. */
-    using UnpinHook = std::function<void(std::uint64_t)>;
-    /** A file left (or entered) the cache. */
-    using EvictCb = std::function<void(sim::FileId)>;
+    using UnpinHook = sim::SmallFn<void(std::uint64_t)>;
 
     FileCache(std::uint64_t capacity_bytes, std::uint64_t file_bytes)
         : capacityFiles_(file_bytes ? capacity_bytes / file_bytes : 0),
@@ -82,15 +80,17 @@ class FileCache
     }
 
     /**
-     * Insert @p f, evicting LRU files as needed (each eviction invokes
-     * @p on_evict so the server can broadcast it).
+     * Insert @p f, evicting LRU files as needed (each eviction calls
+     * @p on_evict, by default a no-op, with the victim so the server
+     * can broadcast it).
      *
      * @return false when the file could not be cached at all: with
      * dynamic pinning enabled this happens when the pin budget is
      * exhausted even after evicting everything.
      */
+    template <typename OnEvict = void (*)(sim::FileId)>
     bool
-    insert(sim::FileId f, const EvictCb &on_evict)
+    insert(sim::FileId f, OnEvict on_evict = [](sim::FileId) {})
     {
         if (capacityFiles_ == 0)
             return false;
@@ -117,8 +117,9 @@ class FileCache
     }
 
     /** Evict the least recently used file (no-op when empty). */
+    template <typename OnEvict = void (*)(sim::FileId)>
     void
-    evictLru(const EvictCb &on_evict)
+    evictLru(OnEvict on_evict = [](sim::FileId) {})
     {
         if (size_ == 0)
             return;
@@ -126,8 +127,7 @@ class FileCache
         unlink(victim);
         if (unpin_)
             unpin_(fileBytes_);
-        if (on_evict)
-            on_evict(victim);
+        on_evict(victim);
     }
 
     /** Drop everything (process restart). */

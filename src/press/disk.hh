@@ -10,10 +10,10 @@
 #define PERFORMA_PRESS_DISK_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
@@ -36,7 +36,7 @@ class DiskArray
      * Returns the completion time.
      */
     sim::Tick
-    read(std::uint64_t bytes, std::function<void()> done)
+    read(std::uint64_t bytes, sim::SmallFn<void()> done)
     {
         // Pick the disk with the earliest availability.
         std::size_t best = 0;

@@ -37,9 +37,6 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
         if (st_.alive)
             onPeerConnected(peer);
     };
-    cbs.onConnectFailed = [](sim::NodeId) {
-        // The peer is down or unreachable: it is simply not a member.
-    };
     cbs.onPeerBroken = [this](sim::NodeId peer, proto::BreakReason r) {
         if (st_.alive)
             onPeerBroken(peer, r);
@@ -67,12 +64,12 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
 // ---------------------------------------------------------------------
 
 void
-Server::scheduleEpoch(sim::Tick delay, std::function<void()> fn)
+Server::scheduleEpoch(sim::Tick delay, void (Server::*tick)())
 {
     std::uint64_t e = st_.epoch;
-    node_.simulation().scheduleIn(delay, [this, e, fn = std::move(fn)] {
+    node_.simulation().scheduleIn(delay, [this, e, tick] {
         if (e == st_.epoch && st_.alive)
-            fn();
+            (this->*tick)();
     });
 }
 
@@ -147,17 +144,16 @@ Server::start()
     }
 
     if (usesHeartbeats(cfg_.version)) {
-        scheduleEpoch(cfg_.hbPeriod, [this] { hbSendTick(); });
-        scheduleEpoch(cfg_.hbPeriod * 2, [this] { hbCheckTick(); });
+        scheduleEpoch(cfg_.hbPeriod, &Server::hbSendTick);
+        scheduleEpoch(cfg_.hbPeriod * 2, &Server::hbCheckTick);
     }
     if (cfg_.robustMembership) {
         scheduleEpoch(cfg_.membershipProbeInterval,
-                      [this] { membershipProbeTick(); });
+                      &Server::membershipProbeTick);
     }
-    scheduleEpoch(sim::sec(2), [this] { sweepTick(); });
+    scheduleEpoch(sim::sec(2), &Server::sweepTick);
 
-    if (hooks_.onStarted)
-        hooks_.onStarted(node_.id());
+    hooks_.onStarted(node_.id());
 }
 
 void
@@ -172,7 +168,7 @@ Server::terminate(bool silent)
     st_.stalled = false;
     st_.stopped = false;
     st_.mainQ.clear();
-    st_.mainBusy = false;
+    st_.mainRunning.reset();
     st_.pendingSends.clear();
     st_.pendingFwd.clear();
     st_.outstanding = 0;
@@ -206,8 +202,7 @@ Server::sigCont()
 void
 Server::failFast(const std::string &reason)
 {
-    if (hooks_.onFailFast)
-        hooks_.onFailFast(node_.id(), reason);
+    hooks_.onFailFast(node_.id(), reason);
     terminate(/*silent=*/false);
     node_.serviceSelfExited(osim::ExitReason::FailFast);
 }
@@ -541,8 +536,7 @@ Server::onPeerConnected(sim::NodeId peer)
     bool fresh = st_.members.insert(peer).second;
     st_.loads[peer] = 0;
     recomputeRing();
-    if (hooks_.onMemberUp)
-        hooks_.onMemberUp(node_.id(), peer);
+    hooks_.onMemberUp(node_.id(), peer);
     if (fresh && st_.cache && st_.cache->size() > 0)
         sendCacheInfoTo(peer);
 }
@@ -597,8 +591,7 @@ Server::excludeNode(sim::NodeId failed)
         pumpMain();
     }
 
-    if (hooks_.onExclude)
-        hooks_.onExclude(node_.id(), failed);
+    hooks_.onExclude(node_.id(), failed);
 }
 
 void
@@ -659,8 +652,7 @@ Server::joinTick()
         // "After the recovered node gives up trying to rejoin": it
         // keeps serving as an independent singleton until an operator
         // intervenes.
-        if (hooks_.onGiveUp)
-            hooks_.onGiveUp(node_.id());
+        hooks_.onGiveUp(node_.id());
         return;
     }
     ++st_.joinTries;
@@ -668,7 +660,7 @@ Server::joinTick()
         if (p != node_.id())
             comm_->sendDatagram(p, DgJoinReq);
     }
-    scheduleEpoch(cfg_.joinRetryInterval, [this] { joinTick(); });
+    scheduleEpoch(cfg_.joinRetryInterval, &Server::joinTick);
 }
 
 void
@@ -717,7 +709,7 @@ Server::onDatagram(sim::NodeId peer, std::uint32_t kind,
 void
 Server::hbSendTick()
 {
-    scheduleEpoch(cfg_.hbPeriod, [this] { hbSendTick(); });
+    scheduleEpoch(cfg_.hbPeriod, &Server::hbSendTick);
     if (st_.stopped || !node_.up())
         return;
     sim::NodeId succ = ringSuccessor();
@@ -728,7 +720,7 @@ Server::hbSendTick()
 void
 Server::hbCheckTick()
 {
-    scheduleEpoch(cfg_.hbPeriod, [this] { hbCheckTick(); });
+    scheduleEpoch(cfg_.hbPeriod, &Server::hbCheckTick);
     if (st_.stopped || !node_.up())
         return;
     sim::NodeId pred = ringPredecessor();
@@ -743,8 +735,9 @@ Server::hbCheckTick()
     // Three consecutive heartbeats missed: declare the predecessor
     // failed and tell the rest of the (believed) cluster.
     excludeNode(pred);
-    std::vector<sim::NodeId> targets(st_.members.begin(), st_.members.end());
-    for (sim::NodeId m : targets) {
+    // A send never changes the member set, and a fatal one ends the
+    // process, so the set can be walked in place.
+    for (sim::NodeId m : st_.members) {
         if (m == node_.id() || !st_.alive)
             continue;
         MemberDownBody body;
@@ -763,7 +756,7 @@ Server::hbCheckTick()
 // ---------------------------------------------------------------------
 
 void
-Server::mainExec(sim::Tick cost, std::function<void()> fn)
+Server::mainExec(sim::Tick cost, sim::SmallFn<void()> fn)
 {
     if (!st_.alive)
         return;
@@ -774,17 +767,19 @@ Server::mainExec(sim::Tick cost, std::function<void()> fn)
 void
 Server::pumpMain()
 {
-    if (st_.mainBusy || st_.stalled || st_.stopped || !st_.alive ||
+    if (st_.mainRunning || st_.stalled || st_.stopped || !st_.alive ||
         st_.mainQ.empty())
         return;
-    st_.mainBusy = true;
-    MainItem item = std::move(st_.mainQ.front());
+    sim::Tick cost = st_.mainQ.front().cost;
+    st_.mainRunning = std::move(st_.mainQ.front().fn);
     st_.mainQ.pop_front();
     std::uint64_t e = st_.epoch;
-    node_.cpu().exec(item.cost, [this, e, fn = std::move(item.fn)] {
+    node_.cpu().exec(cost, [this, e] {
         if (e != st_.epoch)
-            return; // process restarted; terminate() reset st_.mainBusy
-        st_.mainBusy = false;
+            return; // process restarted; terminate() emptied mainRunning
+        // Move out before invoking: the loop is idle again, and work
+        // the item queues starts at once, parked in mainRunning.
+        sim::SmallFn<void()> fn = std::move(st_.mainRunning);
         if (st_.alive)
             fn();
         pumpMain();
@@ -798,8 +793,7 @@ Server::pumpMain()
 void
 Server::membershipProbeTick()
 {
-    scheduleEpoch(cfg_.membershipProbeInterval,
-                  [this] { membershipProbeTick(); });
+    scheduleEpoch(cfg_.membershipProbeInterval, &Server::membershipProbeTick);
     if (st_.stopped || !node_.up())
         return;
     for (sim::NodeId p : allNodes_) {
@@ -890,9 +884,8 @@ Server::flushPending()
 void
 Server::broadcastCacheUpdate(sim::FileId file, bool added)
 {
-    // Snapshot: a fatal send below tears down the member set.
-    std::vector<sim::NodeId> targets(st_.members.begin(), st_.members.end());
-    for (sim::NodeId m : targets) {
+    // Walked in place, as in hbCheckTick().
+    for (sim::NodeId m : st_.members) {
         if (m == node_.id() || !st_.alive)
             continue;
         CacheUpdateBody body;
@@ -975,7 +968,7 @@ Server::prewarmFile(sim::FileId f, sim::NodeId owner)
     if (!st_.alive)
         return;
     if (owner == node_.id())
-        st_.cache->insert(f, nullptr);
+        st_.cache->insert(f);
     st_.directory.add(f, owner);
 }
 
@@ -994,7 +987,7 @@ Server::loadOf(sim::NodeId n) const
 void
 Server::sweepTick()
 {
-    scheduleEpoch(sim::sec(2), [this] { sweepTick(); });
+    scheduleEpoch(sim::sec(2), &Server::sweepTick);
     sim::Tick now = node_.simulation().now();
     for (auto it = st_.pendingFwd.begin(); it != st_.pendingFwd.end();) {
         if (now - it->second.sentAt > sim::sec(10)) {

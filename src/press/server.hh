@@ -37,13 +37,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "os/node.hh"
@@ -55,23 +53,29 @@
 #include "press/messages.hh"
 #include "press/server_stats.hh"
 #include "proto/interpose.hh"
+#include "sim/ring_buffer.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
 
-/** Observation hooks used by experiments to place stage markers. */
+/** Observation hooks used by experiments to place stage markers;
+ *  each defaults to a no-op. */
 struct ServerHooks
 {
     /** This server excluded @p failed from its cooperating set. */
-    std::function<void(sim::NodeId self, sim::NodeId failed)> onExclude;
+    sim::SmallFn<void(sim::NodeId self, sim::NodeId failed)> onExclude =
+        [](sim::NodeId, sim::NodeId) {};
     /** This server added @p joined to its cooperating set. */
-    std::function<void(sim::NodeId self, sim::NodeId joined)> onMemberUp;
+    sim::SmallFn<void(sim::NodeId self, sim::NodeId joined)> onMemberUp =
+        [](sim::NodeId, sim::NodeId) {};
     /** Fail-fast termination with the fatal error text. */
-    std::function<void(sim::NodeId self, const std::string &)> onFailFast;
+    sim::SmallFn<void(sim::NodeId self, const std::string &)> onFailFast =
+        [](sim::NodeId, const std::string &) {};
     /** Rejoin attempts exhausted; continuing as a singleton. */
-    std::function<void(sim::NodeId self)> onGiveUp;
+    sim::SmallFn<void(sim::NodeId self)> onGiveUp = [](sim::NodeId) {};
     /** Process (re)started. */
-    std::function<void(sim::NodeId self)> onStarted;
+    sim::SmallFn<void(sim::NodeId self)> onStarted = [](sim::NodeId) {};
 };
 
 /**
@@ -212,12 +216,12 @@ class Server : public osim::Service
      * (stack deliveries, acks, credit returns) keeps running on the
      * CPU regardless, mirroring PRESS's helper-thread structure.
      */
-    void mainExec(sim::Tick cost, std::function<void()> fn);
+    void mainExec(sim::Tick cost, sim::SmallFn<void()> fn);
     void pumpMain();
 
     // -- lifecycle helpers -----------------------------------------------
-    /** Schedule @p fn, skipped if the process restarted meanwhile. */
-    void scheduleEpoch(sim::Tick delay, std::function<void()> fn);
+    /** Run @p tick, skipped if the process restarted meanwhile. */
+    void scheduleEpoch(sim::Tick delay, void (Server::*tick)());
     void sweepTick();
 
 
@@ -245,7 +249,7 @@ class Server : public osim::Service
     struct MainItem
     {
         sim::Tick cost;
-        std::function<void()> fn;
+        sim::SmallFn<void()> fn;
     };
 
     /**
@@ -284,8 +288,10 @@ class Server : public osim::Service
         bool stalled = false;
 
         // main-loop queue (fn closures are copyable by construction)
-        std::deque<MainItem> mainQ;
-        bool mainBusy = false;
+        sim::RingBuffer<MainItem> mainQ;
+        /** The item running on the CPU (empty when the loop is idle),
+         *  parked here so the CPU completion captures no closure. */
+        sim::SmallFn<void()> mainRunning;
 
         // join state
         int joinTries = 0;

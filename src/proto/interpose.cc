@@ -16,13 +16,11 @@ FaultInterposer::setCallbacks(CommCallbacks cbs)
             // the library reports a fatal error instead of data (EFAULT
             // for sockets, an error-status completion for VIPL).
             st_.armedRecv.reset();
-            if (userCbs_.onFatalError)
-                userCbs_.onFatalError(
-                    "receive call failed: corrupted buffer parameters");
+            userCbs_.onFatalError(
+                "receive call failed: corrupted buffer parameters");
             return;
         }
-        if (userCbs_.onMessage)
-            userCbs_.onMessage(peer, std::move(msg));
+        userCbs_.onMessage(peer, std::move(msg));
     };
     inner_->setCallbacks(std::move(wrapped));
 }

@@ -93,7 +93,7 @@ TcpComm::disconnect(sim::NodeId peer)
     if (c.skbufHeld && !c.sndQueue.empty())
         node_.kernelMem().free(c.sndQueue.front().wireBytes);
     sendRawRst(peer, id);
-    if (c.senderBlocked && cbs_.onSendReady)
+    if (c.senderBlocked)
         cbs_.onSendReady();
 }
 
@@ -164,8 +164,7 @@ TcpComm::handleSynRetry(std::uint64_t id)
         if (st_.active.count(p) && st_.active[p] == id)
             st_.active.erase(p);
         st_.conns.erase(it);
-        if (cbs_.onConnectFailed)
-            cbs_.onConnectFailed(p);
+        cbs_.onConnectFailed(p);
         return;
     }
     ++cc.synTries;
@@ -357,9 +356,9 @@ TcpComm::abortConn(std::uint64_t conn_id, BreakReason reason,
 
     bool was_established = c.established;
     bool was_blocked = c.senderBlocked;
-    if (was_established && cbs_.onPeerBroken)
+    if (was_established)
         cbs_.onPeerBroken(c.peer, reason);
-    if (was_blocked && cbs_.onSendReady)
+    if (was_blocked)
         cbs_.onSendReady();
 }
 
@@ -391,7 +390,7 @@ TcpComm::handleFrame(net::Frame &&f)
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
-                if (st_.listening && st_.appReceiving && cbs_.onDatagram)
+                if (st_.listening && st_.appReceiving)
                     cbs_.onDatagram(peer, kind, payload);
             });
         return;
@@ -451,7 +450,7 @@ TcpComm::handleSyn(const net::Frame &f)
         st_.active.erase(it);
         // A sender blocked on the replaced connection must retry on
         // the new one.
-        if (was_blocked && cbs_.onSendReady)
+        if (was_blocked)
             cbs_.onSendReady();
     }
 
@@ -472,8 +471,7 @@ TcpComm::handleSyn(const net::Frame &f)
     ack.bytes = cfg_.headerBytes;
     node_.intraNet().send(std::move(ack));
 
-    if (cbs_.onPeerConnected)
-        cbs_.onPeerConnected(peer);
+    cbs_.onPeerConnected(peer);
 }
 
 void
@@ -485,8 +483,7 @@ TcpComm::handleSynAck(const net::Frame &f)
     Conn &c = it->second;
     c.established = true;
     node_.simulation().events().cancel(c.synTimer);
-    if (cbs_.onPeerConnected)
-        cbs_.onPeerConnected(c.peer);
+    cbs_.onPeerConnected(c.peer);
     pump(c);
 }
 
@@ -504,8 +501,7 @@ TcpComm::handleRst(const net::Frame &f)
         if (st_.active.count(peer) && st_.active[peer] == f.conn)
             st_.active.erase(peer);
         st_.conns.erase(it);
-        if (cbs_.onConnectFailed)
-            cbs_.onConnectFailed(peer);
+        cbs_.onConnectFailed(peer);
         return;
     }
     abortConn(f.conn, BreakReason::ConnReset, /*send_rst=*/false);
@@ -597,8 +593,7 @@ TcpComm::maybeUnblockSender(Conn &c)
 {
     if (c.senderBlocked && c.sndBytes <= (cfg_.sndBufBytes * 3) / 4) {
         c.senderBlocked = false;
-        if (cbs_.onSendReady)
-            cbs_.onSendReady();
+        cbs_.onSendReady();
     }
 }
 
@@ -630,13 +625,11 @@ TcpComm::scheduleDeliveries(Conn &c)
             if (msg.desync) {
                 // The framing layer on top of the byte stream reads
                 // garbage lengths: unrecoverable.
-                if (cbs_.onFatalError)
-                    cbs_.onFatalError("TCP byte stream desynchronized "
-                                      "by bad send parameters");
+                cbs_.onFatalError("TCP byte stream desynchronized "
+                                  "by bad send parameters");
                 return;
             }
-            if (cbs_.onMessage)
-                cbs_.onMessage(msg.peer, std::move(msg.msg));
+            cbs_.onMessage(msg.peer, std::move(msg.msg));
         });
     }
 }

@@ -53,9 +53,8 @@ ViaComm::start()
     // front. This is the property that makes VIA immune to dynamic
     // kernel-memory exhaustion.
     if (!node_.pins().pin(cfg_.regBufferBytes)) {
-        if (cbs_.onFatalError)
-            cbs_.onFatalError("VIA: cannot register communication "
-                              "buffers at start-up");
+        cbs_.onFatalError("VIA: cannot register communication "
+                          "buffers at start-up");
         return;
     }
     st_.pinnedByUs += cfg_.regBufferBytes;
@@ -92,7 +91,7 @@ ViaComm::disconnect(sim::NodeId peer)
     node_.simulation().events().cancel(vit->second.connTimer);
     st_.vis.erase(vit);
     sendControl(peer, BreakNotify, id);
-    if (was_blocked && cbs_.onSendReady)
+    if (was_blocked)
         cbs_.onSendReady();
 }
 
@@ -186,8 +185,7 @@ ViaComm::handleConnRetry(std::uint64_t vi_id)
         if (st_.active.count(p) && st_.active[p] == vi_id)
             st_.active.erase(p);
         st_.vis.erase(it);
-        if (cbs_.onConnectFailed)
-            cbs_.onConnectFailed(p);
+        cbs_.onConnectFailed(p);
         return;
     }
     ++vi.connTries;
@@ -307,9 +305,9 @@ ViaComm::breakVi(std::uint64_t vi_id, BreakReason reason, bool notify)
     if (notify)
         sendControl(vi.peer, BreakNotify, vi_id); // best effort
 
-    if (vi.established && cbs_.onPeerBroken)
+    if (vi.established)
         cbs_.onPeerBroken(vi.peer, reason);
-    if (vi.senderBlocked && cbs_.onSendReady)
+    if (vi.senderBlocked)
         cbs_.onSendReady();
 }
 
@@ -326,7 +324,7 @@ ViaComm::handleFrame(net::Frame &&f)
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
-                if (st_.listening && st_.appReceiving && cbs_.onDatagram)
+                if (st_.listening && st_.appReceiving)
                     cbs_.onDatagram(peer, kind, payload);
             });
         return;
@@ -344,8 +342,7 @@ ViaComm::handleFrame(net::Frame &&f)
         vi.established = true;
         vi.remoteCredits = cfg_.credits;
         node_.simulation().events().cancel(vi.connTimer);
-        if (cbs_.onPeerConnected)
-            cbs_.onPeerConnected(vi.peer);
+        cbs_.onPeerConnected(vi.peer);
         pump(vi);
         break;
       }
@@ -358,8 +355,7 @@ ViaComm::handleFrame(net::Frame &&f)
         if (st_.active.count(peer) && st_.active[peer] == f.conn)
             st_.active.erase(peer);
         st_.vis.erase(it);
-        if (cbs_.onConnectFailed)
-            cbs_.onConnectFailed(peer);
+        cbs_.onConnectFailed(peer);
         break;
       }
       case Data:
@@ -373,8 +369,7 @@ ViaComm::handleFrame(net::Frame &&f)
         ++vi.remoteCredits;
         if (vi.senderBlocked) {
             vi.senderBlocked = false;
-            if (cbs_.onSendReady)
-                cbs_.onSendReady();
+            cbs_.onSendReady();
         }
         break;
       }
@@ -384,9 +379,9 @@ ViaComm::handleFrame(net::Frame &&f)
       case ErrorNotify:
         // RDMA completion error surfaced by our NIC: fatal for the
         // process (PRESS fail-fast).
-        if (st_.listening && cbs_.onFatalError) {
+        if (st_.listening) {
             node_.cpu().exec(sim::usec(5), [this] {
-                if (st_.listening && cbs_.onFatalError)
+                if (st_.listening)
                     cbs_.onFatalError("VIA: remote DMA completion error");
             });
         }
@@ -429,7 +424,7 @@ ViaComm::handleConnReq(const net::Frame &f)
             st_.vis.erase(vit);
         }
         st_.active.erase(it);
-        if (was_blocked && cbs_.onSendReady)
+        if (was_blocked)
             cbs_.onSendReady();
     }
 
@@ -443,8 +438,7 @@ ViaComm::handleConnReq(const net::Frame &f)
     st_.active[peer] = f.conn;
 
     sendControl(peer, ConnAck, f.conn);
-    if (cbs_.onPeerConnected)
-        cbs_.onPeerConnected(peer);
+    cbs_.onPeerConnected(peer);
 }
 
 void
@@ -490,8 +484,7 @@ ViaComm::scheduleDeliveries(Vi &vi)
                 return; // SIGSTOP raced; retried on SIGCONT
             InMsg msg = std::move(vit->second.rcvQueue.front());
             vit->second.rcvQueue.pop_front();
-            if (cbs_.onMessage)
-                cbs_.onMessage(msg.peer, std::move(msg.msg));
+            cbs_.onMessage(msg.peer, std::move(msg.msg));
         };
 
         if (polled()) {

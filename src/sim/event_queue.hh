@@ -93,7 +93,7 @@ class EventHandle
 class EventQueue
 {
   public:
-    using Handler = SmallFn;
+    using Handler = SmallFn<void()>;
 
     /** Index of a fixed-delay lane, as returned by addLane(). */
     using LaneId = std::uint32_t;

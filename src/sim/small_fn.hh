@@ -1,10 +1,13 @@
 /**
  * @file
- * SmallFn: a callable holder with small-buffer optimization,
- * used by the event engine for handler storage. The common event
- * handler in this tree — a lambda capturing `this` plus an id or two —
- * fits in the inline buffer and never touches the allocator; only
- * oversized or over-aligned captures fall back to the heap.
+ * SmallFn<R(Args...)>: a callable holder with small-buffer
+ * optimization, and the one type-erased callable on the simulation
+ * thread (sim, net, os, proto, press, loadgen, faults). Every closure
+ * in this tree captures `this` plus a few ids, stamps or refcounted
+ * handles; the largest, the 56-byte disk-read completions in
+ * press/server.cc, still fit the inline buffer, so no closure touches
+ * the allocator. Only oversized or over-aligned captures fall back to
+ * the heap.
  */
 
 #ifndef PERFORMA_SIM_SMALL_FN_HH
@@ -20,40 +23,40 @@
 
 namespace performa::sim {
 
+template <typename Sig> class SmallFn;
+
 /**
- * A type-erased `void()` callable, empty after being moved from and
- * invocable only while non-empty. Captures need not be copyable, but
- * copying a holder copy-constructs its captures and PANICs when they
- * are not copyable: the snapshot/fork machinery copies a warmed event
- * queue's handlers, and every handler in this tree captures only
- * `this`, ids and refcounted handles, so a non-copyable capture would
- * make its event unsnapshottable.
+ * A type-erased callable with signature `R(Args...)`, empty after
+ * being moved from and invocable only while non-empty. The call
+ * operator is const, so const owners (PressConfig::sizeOf) can call
+ * through it, and invokes the held callable as a non-const lvalue
+ * (so `mutable` lambdas work).
+ *
+ * Captures need not be copyable, but copying a holder copy-constructs
+ * its captures and PANICs when they are not copyable: the
+ * snapshot/fork machinery copies a warmed world's handlers and
+ * callbacks, and every closure in this tree captures only `this`,
+ * ids and refcounted handles, so a non-copyable capture would make
+ * its owner unsnapshottable.
  */
-class SmallFn
+template <typename R, typename... Args>
+class SmallFn<R(Args...)>
 {
   public:
-    /**
-     * Inline storage size. 56 bytes covers every handler in the tree
-     * today (largest: the epoch-guard lambda in press/server.cc at 48
-     * bytes) and keeps sizeof(SmallFn) at one cache line.
-     */
+    /** Inline storage size: covers every closure in the tree and
+     *  keeps sizeof(SmallFn) at one cache line. */
     static constexpr std::size_t inlineBytes = 56;
 
     SmallFn() = default;
 
     template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
-                                          std::is_invocable_r_v<void, D &>>>
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, SmallFn> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
     SmallFn(F &&f)
     {
-        if constexpr (fitsInline<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &inlineOps<D>;
-        } else {
-            D *p = new D(std::forward<F>(f));
-            std::memcpy(buf_, &p, sizeof p);
-            ops_ = &heapOps<D>;
-        }
+        Impl<D>::create(buf_, std::forward<F>(f));
+        ops_ = &opsFor<D>;
     }
 
     SmallFn(SmallFn &&o) noexcept { moveFrom(o); }
@@ -96,12 +99,16 @@ class SmallFn
     explicit operator bool() const { return ops_ != nullptr; }
 
     /** Invoke the held callable (must be non-empty). */
-    void operator()() { ops_->invoke(buf_); }
+    R
+    operator()(Args... args) const
+    {
+        return ops_->invoke(buf_, std::forward<Args>(args)...);
+    }
 
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args &&...);
         /** Move the callable from src into raw dst, destroying src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
@@ -120,78 +127,75 @@ class SmallFn
         alignof(D) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<D>;
 
+    /**
+     * The ops for callable type D, kept in place in the buffer when it
+     * fits and behind a heap pointer stored in the buffer otherwise.
+     */
     template <typename D>
-    struct InlineImpl
+    struct Impl
     {
-        static void invoke(void *b) { (*static_cast<D *>(b))(); }
+        static D *
+        get(const void *b)
+        {
+            if constexpr (fitsInline<D>) {
+                return static_cast<D *>(const_cast<void *>(b));
+            } else {
+                D *p;
+                std::memcpy(&p, b, sizeof p);
+                return p;
+            }
+        }
+
+        template <typename F>
+        static void
+        create(void *dst, F &&f)
+        {
+            if constexpr (fitsInline<D>) {
+                ::new (dst) D(std::forward<F>(f));
+            } else {
+                D *p = new D(std::forward<F>(f));
+                std::memcpy(dst, &p, sizeof p);
+            }
+        }
+
+        static R
+        invoke(void *b, Args &&...args)
+        {
+            return static_cast<R>((*get(b))(std::forward<Args>(args)...));
+        }
 
         static void
         relocate(void *dst, void *src) noexcept
         {
-            D *s = static_cast<D *>(src);
-            ::new (dst) D(std::move(*s));
-            s->~D();
+            if constexpr (fitsInline<D>) {
+                create(dst, std::move(*get(src)));
+                get(src)->~D();
+            } else {
+                std::memcpy(dst, src, sizeof(D *));
+            }
         }
 
-        static void destroy(void *b) noexcept { static_cast<D *>(b)->~D(); }
+        static void
+        destroy(void *b) noexcept
+        {
+            if constexpr (fitsInline<D>)
+                get(b)->~D();
+            else
+                delete get(b);
+        }
 
         static void
         copy(void *dst, const void *src)
         {
             if constexpr (std::is_copy_constructible_v<D>)
-                ::new (dst) D(*static_cast<const D *>(src));
+                create(dst, *get(src));
         }
     };
 
     template <typename D>
-    struct HeapImpl
-    {
-        static D *
-        get(void *b)
-        {
-            D *p;
-            std::memcpy(&p, b, sizeof p);
-            return p;
-        }
-
-        static void invoke(void *b) { (*get(b))(); }
-
-        static void
-        relocate(void *dst, void *src) noexcept
-        {
-            std::memcpy(dst, src, sizeof(D *));
-        }
-
-        static void destroy(void *b) noexcept { delete get(b); }
-
-        static void
-        copy(void *dst, const void *src)
-        {
-            if constexpr (std::is_copy_constructible_v<D>) {
-                D *p;
-                std::memcpy(&p, src, sizeof p);
-                D *fresh = new D(*p);
-                std::memcpy(dst, &fresh, sizeof fresh);
-            }
-        }
-    };
-
-    /** Copy op for @p Impl, or null when D is not copy-constructible. */
-    template <typename D, typename Impl>
-    static constexpr auto copyOp =
-        std::is_copy_constructible_v<D> ? &Impl::copy : nullptr;
-
-    template <typename D>
-    static constexpr Ops inlineOps = {&InlineImpl<D>::invoke,
-                                      &InlineImpl<D>::relocate,
-                                      &InlineImpl<D>::destroy,
-                                      copyOp<D, InlineImpl<D>>};
-
-    template <typename D>
-    static constexpr Ops heapOps = {&HeapImpl<D>::invoke,
-                                    &HeapImpl<D>::relocate,
-                                    &HeapImpl<D>::destroy,
-                                    copyOp<D, HeapImpl<D>>};
+    static constexpr Ops opsFor = {
+        &Impl<D>::invoke, &Impl<D>::relocate, &Impl<D>::destroy,
+        std::is_copy_constructible_v<D> ? &Impl<D>::copy : nullptr};
 
     void
     copyFrom(const SmallFn &o)
@@ -214,7 +218,9 @@ class SmallFn
         }
     }
 
-    alignas(std::max_align_t) std::byte buf_[inlineBytes];
+    /** Mutable so the const call operator can invoke a non-const
+     *  callable. */
+    alignas(std::max_align_t) mutable std::byte buf_[inlineBytes];
     const Ops *ops_ = nullptr;
 };
 

@@ -27,12 +27,12 @@
 #define PERFORMA_SIM_SNAPSHOT_HH
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/small_fn.hh"
 
 namespace performa::sim {
 
@@ -130,8 +130,8 @@ class SnapshotRegistry
   private:
     struct Hook
     {
-        std::function<std::shared_ptr<const void>()> save;
-        std::function<void(const void *)> restore;
+        SmallFn<std::shared_ptr<const void>()> save;
+        SmallFn<void(const void *)> restore;
     };
 
     std::vector<Hook> hooks_;

@@ -18,7 +18,7 @@ using press::FileCache;
 TEST(FileCache, InsertAndContains)
 {
     FileCache c(4 * 100, 100); // 4 files
-    EXPECT_TRUE(c.insert(1, nullptr));
+    EXPECT_TRUE(c.insert(1));
     EXPECT_TRUE(c.contains(1));
     EXPECT_FALSE(c.contains(2));
     EXPECT_EQ(c.size(), 1u);
@@ -56,9 +56,9 @@ TEST(FileCache, TouchProtectsFromEviction)
 TEST(FileCache, ReinsertTouches)
 {
     FileCache c(2 * 100, 100);
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
-    EXPECT_TRUE(c.insert(1, nullptr)); // bumps 1
+    c.insert(1);
+    c.insert(2);
+    EXPECT_TRUE(c.insert(1)); // bumps 1
     std::vector<sim::FileId> evicted;
     c.insert(3, [&](sim::FileId f) { evicted.push_back(f); });
     EXPECT_EQ(evicted, (std::vector<sim::FileId>{2}));
@@ -78,8 +78,8 @@ TEST(FileCache, PinHooksGateInsertion)
         },
         [&](std::uint64_t b) { pinned -= b; });
 
-    EXPECT_TRUE(c.insert(1, nullptr));
-    EXPECT_TRUE(c.insert(2, nullptr));
+    EXPECT_TRUE(c.insert(1));
+    EXPECT_TRUE(c.insert(2));
     // Third pin would exceed 250: the cache sheds LRU file 1 first.
     std::vector<sim::FileId> evicted;
     EXPECT_TRUE(c.insert(3, [&](sim::FileId f) { evicted.push_back(f); }));
@@ -93,7 +93,7 @@ TEST(FileCache, PinImpossibleReturnsFalse)
     FileCache c(10 * 100, 100);
     c.setPinHooks([](std::uint64_t) { return false; },
                   [](std::uint64_t) {});
-    EXPECT_FALSE(c.insert(1, nullptr));
+    EXPECT_FALSE(c.insert(1));
     EXPECT_EQ(c.size(), 0u);
 }
 
@@ -107,8 +107,8 @@ TEST(FileCache, ClearUnpinsEverything)
             return true;
         },
         [&](std::uint64_t b) { pinned -= b; });
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
+    c.insert(1);
+    c.insert(2);
     EXPECT_EQ(pinned, 200u);
     c.clear();
     EXPECT_EQ(pinned, 0u);
@@ -118,14 +118,14 @@ TEST(FileCache, ClearUnpinsEverything)
 TEST(FileCache, ZeroCapacityRejectsEverything)
 {
     FileCache c(0, 100);
-    EXPECT_FALSE(c.insert(1, nullptr));
+    EXPECT_FALSE(c.insert(1));
 }
 
 TEST(FileCache, FilesIteratesMruFirst)
 {
     FileCache c(3 * 100, 100);
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
+    c.insert(1);
+    c.insert(2);
     c.touch(1);
     EXPECT_EQ(c.files(), (std::vector<sim::FileId>{1, 2}));
 }
@@ -140,9 +140,9 @@ TEST(FileCache, CopyKeepsLruOrderAndPinHooks)
             return true;
         },
         [&](std::uint64_t b) { pinned -= b; });
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
-    c.insert(3, nullptr);
+    c.insert(1);
+    c.insert(2);
+    c.insert(3);
     c.touch(1);
 
     FileCache copy = c;
@@ -163,12 +163,12 @@ TEST(FileCache, MutatingACopyLeavesTheOriginalUntouched)
 {
     FileCache c(4 * 100, 100);
     for (sim::FileId f : {5, 9, 2, 7})
-        c.insert(f, nullptr);
+        c.insert(f);
 
     FileCache copy = c;
     copy.touch(5);
-    copy.insert(40, nullptr); // evicts 9, grows the link array
-    copy.evictLru(nullptr);   // evicts 2
+    copy.insert(40); // evicts 9, grows the link array
+    copy.evictLru();   // evicts 2
     EXPECT_EQ(copy.files(), (std::vector<sim::FileId>{40, 5, 7}));
 
     EXPECT_EQ(c.files(), (std::vector<sim::FileId>{7, 2, 9, 5}));
@@ -195,7 +195,7 @@ TEST_P(CacheCapacitySweep, SizeBounded)
     FileCache c(cap * 10, 10);
     std::mt19937_64 rng(7);
     for (int i = 0; i < 2000; ++i) {
-        c.insert(static_cast<sim::FileId>(rng() % 200), nullptr);
+        c.insert(static_cast<sim::FileId>(rng() % 200));
         ASSERT_LE(c.size(), cap);
         if (i % 3 == 0)
             c.touch(static_cast<sim::FileId>(rng() % 200));

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -28,6 +29,19 @@
 using namespace performa;
 
 namespace {
+
+/**
+ * @p prefix followed by @p i. Built by appending: GCC 12 reports a
+ * false -Wrestrict on the inlined insert behind
+ * `"job" + std::to_string(i)` in Release builds.
+ */
+std::string
+numbered(const char *prefix, std::size_t i)
+{
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
 
 std::string
 slurp(const std::string &path)
@@ -103,13 +117,44 @@ TEST(ThreadPool, CancelDropsQueuedTasks)
     EXPECT_EQ(ran.load(), after);
 }
 
+TEST(ThreadPool, ParseWorkerCountTakesWholeCountsUpToTheLimit)
+{
+    EXPECT_EQ(campaign::parseWorkerCount("0"), 0u);
+    EXPECT_EQ(campaign::parseWorkerCount("4"), 4u);
+    EXPECT_EQ(campaign::parseWorkerCount("256"), campaign::maxWorkers);
+    for (const char *bad :
+         {"", "x", "4x", " 4", "+4", "-1", "257", "999", "4294967296"})
+        EXPECT_FALSE(campaign::parseWorkerCount(bad)) << "'" << bad << "'";
+}
+
+TEST(ThreadPoolDeathTest, DefaultWorkerCountRefusesABadPerformaJobs)
+{
+    // The death-test child sets the variable, so this process keeps
+    // its own environment.
+    EXPECT_EXIT(
+        {
+            setenv("PERFORMA_JOBS", "3", 1);
+            std::exit(static_cast<int>(campaign::defaultWorkerCount()));
+        },
+        ::testing::ExitedWithCode(3), "");
+    for (const char *bad : {"4x", "999", ""}) {
+        EXPECT_EXIT(
+            {
+                setenv("PERFORMA_JOBS", bad, 1);
+                (void)campaign::defaultWorkerCount();
+            },
+            ::testing::ExitedWithCode(1), "bad PERFORMA_JOBS value")
+            << "'" << bad << "'";
+    }
+}
+
 TEST(Runner, ThrowingJobIsReportedOthersComplete)
 {
     std::atomic<int> ran{0};
     std::vector<campaign::Job> jobs;
     for (int i = 0; i < 8; ++i) {
         campaign::Job j;
-        j.label = "job" + std::to_string(i);
+        j.label = numbered("job", i);
         j.work = [i, &ran](const campaign::Job &) {
             if (i == 3)
                 throw std::runtime_error("deliberate failure");
@@ -149,7 +194,7 @@ TEST(Runner, StartsNoMoreWorkersThanStrands)
     std::vector<campaign::Job> jobs;
     for (int i = 0; i < 6; ++i) {
         campaign::Job j;
-        j.label = "job" + std::to_string(i);
+        j.label = numbered("job", i);
         j.strand = i % 2 ? "odd" : "even";
         j.work = [&](const campaign::Job &) {
             std::lock_guard<std::mutex> lk(mu);
@@ -170,7 +215,7 @@ TEST(Runner, CancelOnFailureSkipsRemainingJobs)
     std::vector<campaign::Job> jobs;
     for (int i = 0; i < 4; ++i) {
         campaign::Job j;
-        j.label = "job" + std::to_string(i);
+        j.label = numbered("job", i);
         j.work = [i](const campaign::Job &) {
             if (i == 0)
                 throw std::runtime_error("fail fast");
@@ -190,7 +235,7 @@ TEST(Runner, ProgressStreamsDoneTotalAndLabels)
 {
     std::vector<campaign::Job> jobs(5);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].label = "j" + std::to_string(i);
+        jobs[i].label = numbered("j", i);
         jobs[i].work = [](const campaign::Job &) {};
     }
     std::vector<std::size_t> dones;

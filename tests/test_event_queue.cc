@@ -2,18 +2,24 @@
  * @file
  * Unit tests for the discrete-event engine: ordering, determinism,
  * cancellation, time-advance semantics and fixed-delay lanes, plus
- * SmallFn handler copies.
+ * SmallFn copies, argument passing, return values and storage.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "net/frame.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/small_fn.hh"
 #include "sim/snapshot.hh"
 
@@ -355,7 +361,7 @@ struct LaneLog
     void hit(std::uint64_t tag) { fired.emplace_back(q.now(), tag); }
 
     /** A heap event that logs @p tag when it runs. */
-    SmallFn
+    SmallFn<void()>
     heapHit(std::uint64_t tag)
     {
         return [this, tag] { hit(tag); };
@@ -449,7 +455,7 @@ TEST(EventQueueLane, ForkedQueueWithLaneEntriesReplaysIdentically)
     // A self-rescheduling heap chain that keeps feeding the lane, so
     // lane entries exist at capture time and keep arriving after it.
     std::uint64_t next = 0;
-    SmallFn tick;
+    SmallFn<void()> tick;
     tick = [&] {
         q.scheduleLane(lane, next++);
         log.hit(1000 + next);
@@ -509,27 +515,133 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOrderSweep,
 TEST(SmallFn, CopyDuplicatesCapturesInlineAndOnTheHeap)
 {
     int hits = 0;
-    SmallFn small = [&hits] { ++hits; };
+    SmallFn<void()> small = [&hits] { ++hits; };
     std::array<int, 32> big{};
     big[0] = 5;
-    SmallFn large = [&hits, big] { hits += big[0]; };
+    SmallFn<void()> large = [&hits, big] { hits += big[0]; };
 
-    SmallFn small2 = small;
-    SmallFn large2;
+    SmallFn<void()> small2 = small;
+    SmallFn<void()> large2;
     large2 = large;
     small();
     small2();
     large();
     large2();
     EXPECT_EQ(hits, 12);
-    SmallFn empty;
-    SmallFn emptyCopy = empty;
+    SmallFn<void()> empty;
+    SmallFn<void()> emptyCopy = empty;
     EXPECT_FALSE(emptyCopy);
+}
+
+TEST(SmallFn, ForwardsAnRvalueArgument)
+{
+    PayloadPool pool;
+    performa::net::Frame f;
+    f.bytes = 1500;
+    f.payload = pool.make<int>(7);
+    performa::net::Frame got;
+    SmallFn<void(performa::net::Frame &&)> sink =
+        [&got](performa::net::Frame &&in) { got = std::move(in); };
+    sink(std::move(f));
+    // Moved, not copied: the caller's handle is gone.
+    EXPECT_FALSE(f.payload);
+    ASSERT_TRUE(got.payload);
+    EXPECT_EQ(*got.payload.get<int>(), 7);
+    EXPECT_EQ(got.bytes, 1500u);
+}
+
+TEST(SmallFn, PassesAConstReferenceThrough)
+{
+    const std::string text = "remote DMA completion error";
+    const std::string *seen = nullptr;
+    SmallFn<void(const std::string &)> fn =
+        [&seen](const std::string &s) { seen = &s; };
+    fn(text);
+    EXPECT_EQ(seen, &text);
+}
+
+TEST(SmallFn, ReturnsTheCallablesResult)
+{
+    std::uint64_t budget = 10;
+    const SmallFn<bool(std::uint64_t)> pin = [&budget](std::uint64_t b) {
+        if (b > budget)
+            return false;
+        budget -= b;
+        return true;
+    };
+    EXPECT_TRUE(pin(6));
+    EXPECT_FALSE(pin(6));
+    EXPECT_TRUE(pin(4));
+    EXPECT_EQ(budget, 0u);
+}
+
+namespace {
+
+/** A @p Bytes-byte callable that returns its own address. */
+template <std::size_t Bytes>
+struct AddressProbe
+{
+    std::array<std::byte, Bytes> pad{};
+    const void *operator()() const { return this; }
+};
+
+using ProbeFn = SmallFn<const void *()>;
+
+/** @return true if @p fn's callable lives inside @p fn itself. */
+bool
+storedInline(const ProbeFn &fn)
+{
+    auto self = reinterpret_cast<std::uintptr_t>(&fn);
+    auto at = reinterpret_cast<std::uintptr_t>(fn());
+    return at >= self && at < self + sizeof fn;
+}
+
+} // namespace
+
+TEST(SmallFn, FiftySixByteCaptureStaysInlineFiftySevenTakesTheHeap)
+{
+    static_assert(ProbeFn::inlineBytes == 56);
+    static_assert(sizeof(AddressProbe<56>) == 56);
+    static_assert(sizeof(AddressProbe<57>) == 57);
+    ProbeFn fits = AddressProbe<56>{};
+    ProbeFn spills = AddressProbe<57>{};
+    EXPECT_TRUE(storedInline(fits));
+    EXPECT_FALSE(storedInline(spills));
+
+    ProbeFn fitsCopy = fits;
+    ProbeFn spillsCopy;
+    spillsCopy = spills;
+    EXPECT_TRUE(storedInline(fitsCopy));
+    EXPECT_FALSE(storedInline(spillsCopy));
+    EXPECT_NE(spillsCopy(), spills()) << "a copy owns its own heap block";
+
+    const void *spilledAt = spills();
+    ProbeFn fitsMoved = std::move(fits);
+    ProbeFn spillsMoved;
+    spillsMoved = std::move(spills);
+    EXPECT_TRUE(storedInline(fitsMoved));
+    EXPECT_FALSE(storedInline(spillsMoved));
+    EXPECT_EQ(spillsMoved(), spilledAt) << "a move takes over the block";
+    EXPECT_FALSE(fits);
+    EXPECT_FALSE(spills);
 }
 
 TEST(SmallFnDeathTest, CopyingANonCopyableCapturePanics)
 {
     auto owned = std::make_unique<int>(1);
-    SmallFn fn = [p = std::move(owned)] { (void)*p; };
-    EXPECT_DEATH({ SmallFn copy = fn; }, "non-copyable");
+    SmallFn<void()> fn = [p = std::move(owned)] { (void)*p; };
+    EXPECT_DEATH({ SmallFn<void()> copy = fn; }, "non-copyable");
+}
+
+TEST(SmallFnDeathTest, CopyingANonCopyableCaptureWithArgumentsPanics)
+{
+    auto owned = std::make_unique<int>(1);
+    SmallFn<int(int, const std::string &)> fn =
+        [p = std::move(owned)](int n, const std::string &s) {
+            return *p + n + static_cast<int>(s.size());
+        };
+    EXPECT_EQ(fn(2, "abc"), 6);
+    EXPECT_DEATH(
+        { SmallFn<int(int, const std::string &)> copy = fn; },
+        "non-copyable");
 }

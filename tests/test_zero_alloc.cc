@@ -5,7 +5,9 @@
  * a raw Network frame blast) must execute its steady-state window
  * without a single heap allocation — payloads come from the pool,
  * in-flight frames from the parked slab, queue slots from the rings,
- * and event records from the event-engine slab.
+ * and event records from the event-engine slab. A whole warm PRESS
+ * world (TCP-PRESS and VIA-PRESS-5) may allocate only the pendingFwd
+ * map node of each forwarded request.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -17,6 +19,7 @@
 #include <memory>
 #include <new>
 
+#include "exp/experiment.hh"
 #include "loadgen/client_farm.hh"
 #include "loadgen/session_farm.hh"
 #include "net/network.hh"
@@ -406,13 +409,13 @@ TEST(ZeroAlloc, CopyAssigningIntoAGrownCacheAndDirectoryAllocatesNothing)
     src.setPinHooks(pin, unpin);
     press::Directory dsrc(16), ddst(16);
     for (sim::FileId f = 0; f < 4000; f += 3) {
-        src.insert(f, nullptr);
+        src.insert(f);
         dsrc.add(f, f % 16);
     }
     dst = src;
     ddst = dsrc;
     for (sim::FileId f = 1; f < 3000; f += 7) {
-        src.insert(f, nullptr);
+        src.insert(f);
         src.touch(f / 2);
         dsrc.add(f, 3);
         dsrc.remove(f + 2, (f + 2) % 16);
@@ -428,4 +431,60 @@ TEST(ZeroAlloc, CopyAssigningIntoAGrownCacheAndDirectoryAllocatesNothing)
     EXPECT_EQ(dst.files(), src.files());
     for (sim::NodeId n = 0; n < 16; ++n)
         EXPECT_EQ(ddst.entriesOf(n), dsrc.entriesOf(n)) << "node " << n;
+}
+
+namespace {
+
+/** What one warm PRESS world did in its measured window. */
+struct WarmWindow
+{
+    std::uint64_t news = 0;      ///< operator-new calls
+    std::uint64_t accepted = 0;  ///< requests the servers admitted
+    std::uint64_t forwarded = 0; ///< requests forwarded to a peer
+};
+
+/**
+ * Warm a default 4-node world of version @p v, then count operator
+ * new over the next 10 simulated seconds.
+ */
+WarmWindow
+measureWarmWindow(press::Version v)
+{
+    exp::Experiment e(exp::defaultExperimentConfig(v));
+    e.warmUp();
+    auto total = [&e](std::uint64_t press::ServerStats::*field) {
+        std::uint64_t n = 0;
+        for (std::uint32_t i = 0; i < e.cluster().numNodes(); ++i)
+            n += e.cluster().server(i).stats().*field;
+        return n;
+    };
+    WarmWindow w;
+    w.accepted = total(&press::ServerStats::accepted);
+    w.forwarded = total(&press::ServerStats::forwarded);
+    g_news = 0;
+    g_counting = true;
+    e.sim().runUntil(e.sim().now() + sim::sec(10));
+    g_counting = false;
+    w.news = g_news;
+    w.accepted = total(&press::ServerStats::accepted) - w.accepted;
+    w.forwarded = total(&press::ServerStats::forwarded) - w.forwarded;
+    return w;
+}
+
+} // namespace
+
+TEST(ZeroAlloc, WarmPressWorldAllocatesOnlyPendingForwardNodes)
+{
+    // Every closure on the request path fits SmallFn's inline buffer
+    // and the main-loop queue is a ring, so the one allocation left
+    // per request is the pendingFwd map node of a forwarded request.
+    for (press::Version v :
+         {press::Version::TcpPress, press::Version::ViaPress5}) {
+        WarmWindow w = measureWarmWindow(v);
+        EXPECT_GT(w.accepted, 10000u) << press::versionName(v);
+        EXPECT_GT(w.forwarded, 0u) << press::versionName(v);
+        EXPECT_LE(w.news, w.forwarded)
+            << press::versionName(v)
+            << ": allocations beyond one pendingFwd node per forward";
+    }
 }
