@@ -50,7 +50,8 @@ usage(const char *argv0)
         "                 order, 0-4; default: all)\n"
         "  --faults L     comma-separated fault-kind indices (Table 2\n"
         "                 order, 0-11; default: all)\n"
-        "  --nodes LIST   comma-separated cluster sizes (default 4)\n"
+        "  --nodes LIST   comma-separated cluster sizes, 2 to %u\n"
+        "                 (default 4)\n"
         "  --scale LIST   comma-separated offered-load scales\n"
         "                 (default 1.0)\n"
         "  --profile NAME workload shape: steady (default), sessions,\n"
@@ -67,7 +68,7 @@ usage(const char *argv0)
         "  --list         print the grid and per-job seeds, then exit\n"
         "  --quiet        suppress per-job progress\n"
         "  --help         this text\n",
-        argv0, campaign::maxWorkers);
+        argv0, campaign::maxWorkers, campaign::maxNodes);
 }
 
 /** Split on commas, keeping empty tokens so the parser rejects them. */
@@ -336,9 +337,17 @@ main(int argc, char **argv)
             }
         } else if (arg == "--nodes") {
             nodeAxis.clear();
-            for (const std::string &tok : splitCsv(value("--nodes")))
-                nodeAxis.push_back(
-                    parseNumber<std::uint32_t>("--nodes", tok, true));
+            for (const std::string &tok : splitCsv(value("--nodes"))) {
+                auto n = parseNumber<std::uint32_t>("--nodes", tok, true);
+                if (n < 2 || n > campaign::maxNodes) {
+                    std::fprintf(stderr,
+                                 "bad --nodes value: '%s' (a cluster size "
+                                 "from 2 to %u)\n",
+                                 tok.c_str(), campaign::maxNodes);
+                    return 2;
+                }
+                nodeAxis.push_back(n);
+            }
         } else if (arg == "--scale") {
             scaleAxis.clear();
             for (const std::string &tok : splitCsv(value("--scale")))

@@ -79,6 +79,14 @@ class ThreadPool
  */
 inline constexpr unsigned maxWorkers = 256;
 
+/**
+ * The largest cluster a campaign may ask for (--nodes). Protocol and
+ * PRESS peer tables are indexed by node id, so the node count bounds
+ * them; 256 is the largest size on the scaling axis. One node has no
+ * intra-cluster communication to compare, so the smallest is 2.
+ */
+inline constexpr unsigned maxNodes = 256;
+
 /** Parse a worker count (--jobs, PERFORMA_JOBS; 0 = the default):
  *  nullopt unless all of @p text is a number from 0 to maxWorkers. */
 std::optional<unsigned> parseWorkerCount(std::string_view text);

@@ -53,6 +53,37 @@ struct SendParams
     }
 };
 
+/** CPU cost parameters for one side of a message operation. */
+struct CommCosts
+{
+    sim::Tick sendFixed = 0;   ///< per-send fixed CPU
+    double sendPerKb = 0.0;    ///< per-KB send CPU (copies, checksum)
+    sim::Tick recvFixed = 0;   ///< per-receive fixed CPU
+    double recvPerKb = 0.0;    ///< per-KB receive CPU
+
+    /** CPU to issue a send of @p bytes. */
+    sim::Tick
+    send(std::uint64_t bytes) const
+    {
+        return sendFixed + perKb(sendPerKb, bytes);
+    }
+
+    /** CPU to hand a received message of @p bytes to the application. */
+    sim::Tick
+    recv(std::uint64_t bytes) const
+    {
+        return recvFixed + perKb(recvPerKb, bytes);
+    }
+
+  private:
+    static sim::Tick
+    perKb(double cost, std::uint64_t bytes)
+    {
+        return static_cast<sim::Tick>(cost * static_cast<double>(bytes) /
+                                      1024.0);
+    }
+};
+
 /** Synchronous result of a send call. */
 enum class SendStatus
 {

@@ -1,5 +1,6 @@
 #include "proto/tcp.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -10,42 +11,27 @@ namespace performa::proto {
 // within one simulated world, race-free across concurrent worlds.
 
 TcpComm::TcpComm(osim::Node &node, TcpConfig cfg)
-    : node_(node), cfg_(cfg)
+    : ChannelComm(node, "tcp"), cfg_(cfg)
 {
-    if (node_.intraPort() != node_.id())
-        PANIC("tcp: node ", node_.id(), " has intra port ",
-              node_.intraPort(), "; node i must own intra port i");
-
-    node_.intraNet().setHandler(node_.intraPort(),
-        [this](net::Frame &&f) { handleFrame(std::move(f)); });
-
-    // A node crash wipes the kernel stack; peers only find out later
-    // through retransmission timeouts or post-reboot RSTs.
-    node_.onCrash([this] { vanish(); });
 }
 
-TcpComm::Conn *
-TcpComm::findByPeer(sim::NodeId peer)
+TcpConn &
+TcpComm::open(std::uint64_t id, sim::NodeId peer)
 {
-    auto it = st_.active.find(peer);
-    if (it == st_.active.end())
-        return nullptr;
-    auto cit = st_.conns.find(it->second);
-    return cit == st_.conns.end() ? nullptr : &cit->second;
+    TcpConn &c = st_.chans.open(id, peer);
+    c.rto = cfg_.rtoInitial;
+    c.rcvQueue.reserve(cfg_.rcvQueueMsgs);
+    return c;
 }
 
-const TcpComm::Conn *
-TcpComm::findByPeer(sim::NodeId peer) const
+void
+TcpComm::release(TcpConn &c)
 {
-    return const_cast<TcpComm *>(this)->findByPeer(peer);
-}
-
-sim::Tick
-TcpComm::sendCost(std::uint64_t bytes) const
-{
-    return cfg_.costs.sendFixed +
-           static_cast<sim::Tick>(cfg_.costs.sendPerKb *
-                                  static_cast<double>(bytes) / 1024.0);
+    auto &events = node_.simulation().events();
+    events.cancel(c.rtoTimer);
+    events.cancel(c.memRetryTimer);
+    if (c.skbufHeld && !c.sndQueue.empty())
+        node_.kernelMem().free(c.sndQueue.front().wireBytes);
 }
 
 void
@@ -56,135 +42,10 @@ TcpComm::start()
 }
 
 void
-TcpComm::reset()
-{
-    auto &sim = node_.simulation();
-    for (auto &[id, c] : st_.conns) {
-        sim.events().cancel(c.rtoTimer);
-        sim.events().cancel(c.memRetryTimer);
-        sim.events().cancel(c.synTimer);
-        if (c.skbufHeld && !c.sndQueue.empty())
-            node_.kernelMem().free(c.sndQueue.front().wireBytes);
-    }
-    st_.conns.clear();
-    st_.active.clear();
-}
-
-void
-TcpComm::disconnect(sim::NodeId peer)
-{
-    auto it = st_.active.find(peer);
-    if (it == st_.active.end())
-        return;
-    std::uint64_t id = it->second;
-    auto cit = st_.conns.find(id);
-    if (cit == st_.conns.end()) {
-        st_.active.erase(it);
-        return;
-    }
-    // App-initiated close: reset the wire side, no break callback.
-    Conn c = std::move(cit->second);
-    st_.conns.erase(cit);
-    st_.active.erase(it);
-    auto &sim = node_.simulation();
-    sim.events().cancel(c.rtoTimer);
-    sim.events().cancel(c.memRetryTimer);
-    sim.events().cancel(c.synTimer);
-    if (c.skbufHeld && !c.sndQueue.empty())
-        node_.kernelMem().free(c.sndQueue.front().wireBytes);
-    sendRawRst(peer, id);
-    if (c.senderBlocked)
-        cbs_.onSendReady();
-}
-
-void
-TcpComm::shutdown()
-{
-    // Process exit: the OS closes the sockets, so peers get resets.
-    for (auto &[id, c] : st_.conns) {
-        if (c.established)
-            sendRawRst(c.peer, c.id);
-    }
-    reset();
-    st_.listening = false;
-}
-
-void
 TcpComm::vanish()
 {
-    reset();
+    releaseAll();
     st_.listening = false;
-}
-
-void
-TcpComm::setAppReceiving(bool on)
-{
-    st_.appReceiving = on;
-    if (on) {
-        for (auto &[id, c] : st_.conns)
-            scheduleDeliveries(c);
-    }
-}
-
-void
-TcpComm::connect(sim::NodeId peer)
-{
-    std::uint64_t id = node_.simulation().allocId();
-    Conn &c = st_.conns[id];
-    c.id = id;
-    c.peer = peer;
-    c.rto = cfg_.rtoInitial;
-    c.rcvQueue.reserve(cfg_.rcvQueueMsgs);
-    st_.active[peer] = id;
-
-    net::Frame syn;
-    syn.srcPort = node_.intraPort();
-    syn.dstPort = peer;
-    syn.proto = net::Proto::Tcp;
-    syn.kind = Syn;
-    syn.conn = id;
-    syn.bytes = cfg_.headerBytes;
-    node_.intraNet().send(std::move(syn));
-
-    c.synTries = 1;
-    c.synTimer = node_.simulation().scheduleIn(cfg_.connectTimeout,
-        [this, id] { handleSynRetry(id); });
-}
-
-/** SYN retransmission / give-up logic for a pending connect. */
-void
-TcpComm::handleSynRetry(std::uint64_t id)
-{
-    auto it = st_.conns.find(id);
-    if (it == st_.conns.end() || it->second.established)
-        return;
-    Conn &cc = it->second;
-    if (cc.synTries >= cfg_.connectRetries) {
-        sim::NodeId p = cc.peer;
-        if (st_.active.count(p) && st_.active[p] == id)
-            st_.active.erase(p);
-        st_.conns.erase(it);
-        cbs_.onConnectFailed(p);
-        return;
-    }
-    ++cc.synTries;
-    net::Frame f;
-    f.srcPort = node_.intraPort();
-    f.dstPort = cc.peer;
-    f.proto = net::Proto::Tcp;
-    f.kind = Syn;
-    f.conn = id;
-    f.bytes = cfg_.headerBytes;
-    node_.intraNet().send(std::move(f));
-    cc.synTimer = node_.simulation().scheduleIn(
-        cfg_.connectTimeout, [this, id] { handleSynRetry(id); });
-}
-
-bool
-TcpComm::connected(sim::NodeId peer) const
-{
-    const Conn *c = findByPeer(peer);
-    return c && c->established;
 }
 
 SendStatus
@@ -195,7 +56,7 @@ TcpComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
         return SendStatus::Efault;
     }
 
-    Conn *c = findByPeer(peer);
+    TcpConn *c = st_.chans.byPeer(peer);
     if (!c || !c->established)
         return SendStatus::NotConnected;
 
@@ -205,7 +66,7 @@ TcpComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
         return SendStatus::WouldBlock;
     }
 
-    OutMsg out;
+    TcpConn::OutMsg out;
     out.wireBytes = wire;
     out.seq = c->seqNext++;
     // A bad offset or size does not fail the send call; it silently
@@ -249,28 +110,35 @@ TcpComm::consumed(sim::NodeId peer)
 }
 
 void
-TcpComm::pump(Conn &c)
+TcpComm::pump(TcpConn &c)
 {
     if (!c.established || c.inFlight || c.sndQueue.empty())
         return;
 
-    OutMsg &m = c.sndQueue.front();
     if (!c.skbufHeld) {
-        if (!node_.kernelMem().alloc(m.wireBytes)) {
+        if (!node_.kernelMem().alloc(c.sndQueue.front().wireBytes)) {
             // Out of kernel memory: the segment stays queued in the
             // OS; retry the allocation shortly.
             std::uint64_t id = c.id;
             c.memRetryTimer = node_.simulation().scheduleIn(
                 sim::msec(10), [this, id] {
-                    auto it = st_.conns.find(id);
-                    if (it != st_.conns.end())
-                        pump(it->second);
+                    if (TcpConn *cc = st_.chans.find(id))
+                        pump(*cc);
                 });
             return;
         }
         c.skbufHeld = true;
     }
 
+    transmitHead(c);
+    c.inFlight = true;
+    armRto(c);
+}
+
+void
+TcpComm::transmitHead(const TcpConn &c)
+{
+    const TcpConn::OutMsg &m = c.sndQueue.front();
     net::Frame f;
     f.srcPort = node_.intraPort();
     f.dstPort = c.peer;
@@ -282,13 +150,10 @@ TcpComm::pump(Conn &c)
     f.corrupted = m.desync;
     f.payload = m.msg; // refcount bump, no copy
     node_.intraNet().send(std::move(f));
-
-    c.inFlight = true;
-    armRto(c);
 }
 
 void
-TcpComm::armRto(Conn &c)
+TcpComm::armRto(TcpConn &c)
 {
     std::uint64_t id = c.id;
     c.rtoTimer = node_.simulation().scheduleIn(c.rto,
@@ -298,81 +163,24 @@ TcpComm::armRto(Conn &c)
 void
 TcpComm::onRtoFired(std::uint64_t conn_id)
 {
-    auto it = st_.conns.find(conn_id);
-    if (it == st_.conns.end())
-        return;
-    Conn &c = it->second;
-    if (!c.inFlight)
+    TcpConn *c = st_.chans.find(conn_id);
+    if (!c || !c->inFlight)
         return;
 
     sim::Tick now = node_.simulation().now();
-    if (c.firstFailAt == 0)
-        c.firstFailAt = now;
-    if (now - c.firstFailAt >= cfg_.abortTimeout) {
-        abortConn(conn_id, BreakReason::Timeout, /*send_rst=*/true);
+    if (c->firstFailAt == 0)
+        c->firstFailAt = now;
+    if (now - c->firstFailAt >= cfg_.abortTimeout) {
+        retire(conn_id, Retire::Aborted, BreakReason::Timeout);
         return;
     }
 
-    // Exponential backoff, then retransmit the in-flight message.
-    c.rto = std::min<sim::Tick>(c.rto * 2, cfg_.rtoMax);
-    if (node_.up() && !c.sndQueue.empty()) {
-        OutMsg &m = c.sndQueue.front();
-        net::Frame f;
-        f.srcPort = node_.intraPort();
-        f.dstPort = c.peer;
-        f.proto = net::Proto::Tcp;
-        f.kind = Data;
-        f.conn = c.id;
-        f.seq = m.seq;
-        f.bytes = m.wireBytes;
-        f.corrupted = m.desync;
-        f.payload = m.msg; // same pooled block as the first transmit
-        node_.intraNet().send(std::move(f));
-    }
-    armRto(c);
-}
-
-void
-TcpComm::abortConn(std::uint64_t conn_id, BreakReason reason,
-                   bool send_rst)
-{
-    auto it = st_.conns.find(conn_id);
-    if (it == st_.conns.end())
-        return;
-    Conn c = std::move(it->second);
-    st_.conns.erase(it);
-    if (st_.active.count(c.peer) && st_.active[c.peer] == conn_id)
-        st_.active.erase(c.peer);
-
-    auto &sim = node_.simulation();
-    sim.events().cancel(c.rtoTimer);
-    sim.events().cancel(c.memRetryTimer);
-    sim.events().cancel(c.synTimer);
-    if (c.skbufHeld && !c.sndQueue.empty())
-        node_.kernelMem().free(c.sndQueue.front().wireBytes);
-
-    if (send_rst)
-        sendRawRst(c.peer, conn_id);
-
-    bool was_established = c.established;
-    bool was_blocked = c.senderBlocked;
-    if (was_established)
-        cbs_.onPeerBroken(c.peer, reason);
-    if (was_blocked)
-        cbs_.onSendReady();
-}
-
-void
-TcpComm::sendRawRst(sim::NodeId peer, std::uint64_t conn_id)
-{
-    net::Frame f;
-    f.srcPort = node_.intraPort();
-    f.dstPort = peer;
-    f.proto = net::Proto::Tcp;
-    f.kind = Rst;
-    f.conn = conn_id;
-    f.bytes = cfg_.headerBytes;
-    node_.intraNet().send(std::move(f));
+    // Exponential backoff, then retransmit the in-flight message (the
+    // same pooled block as the first transmit).
+    c->rto = std::min<sim::Tick>(c->rto * 2, cfg_.rtoMax);
+    if (node_.up() && !c->sndQueue.empty())
+        transmitHead(*c);
+    armRto(*c);
 }
 
 void
@@ -384,24 +192,18 @@ TcpComm::handleFrame(net::Frame &&f)
         return;
 
     if (f.proto == net::Proto::Datagram) {
-        if (!st_.listening || !st_.appReceiving)
-            return;
-        sim::NodeId peer = f.srcPort;
-        std::uint32_t kind = f.kind;
-        node_.cpu().exec(sim::usec(5),
-            [this, peer, kind, payload = std::move(f.payload)] {
-                if (st_.listening && st_.appReceiving)
-                    cbs_.onDatagram(peer, kind, payload);
-            });
+        receiveDatagram(std::move(f));
         return;
     }
 
     switch (f.kind) {
       case Syn:
-        handleSyn(f);
+        // A repeated SYN (our SYN-ACK was lost) replaces the
+        // connection it repeats, like any other.
+        admit(f.srcPort, f.conn, /*reackDuplicate=*/false);
         break;
       case SynAck:
-        handleSynAck(f);
+        connectAcked(f.conn);
         break;
       case Rst:
         handleRst(f);
@@ -418,219 +220,86 @@ TcpComm::handleFrame(net::Frame &&f)
 }
 
 void
-TcpComm::handleSyn(const net::Frame &f)
-{
-    sim::NodeId peer = f.srcPort;
-    if (!st_.listening) {
-        sendRawRst(peer, f.conn);
-        return;
-    }
-    // Replace any stale connection to this peer.
-    if (auto it = st_.active.find(peer); it != st_.active.end()) {
-        auto cit = st_.conns.find(it->second);
-        if (cit != st_.conns.end() && !cit->second.established &&
-            peer > node_.id()) {
-            // Simultaneous-connect tie-break: the lower node id's SYN
-            // wins; the higher id ignores the incoming one and lets
-            // its own pending connect complete.
-            return;
-        }
-        bool was_blocked = false;
-        if (cit != st_.conns.end()) {
-            was_blocked = cit->second.senderBlocked;
-            auto &sim = node_.simulation();
-            sim.events().cancel(cit->second.rtoTimer);
-            sim.events().cancel(cit->second.memRetryTimer);
-            sim.events().cancel(cit->second.synTimer);
-            if (cit->second.skbufHeld && !cit->second.sndQueue.empty())
-                node_.kernelMem().free(
-                    cit->second.sndQueue.front().wireBytes);
-            st_.conns.erase(cit);
-        }
-        st_.active.erase(it);
-        // A sender blocked on the replaced connection must retry on
-        // the new one.
-        if (was_blocked)
-            cbs_.onSendReady();
-    }
-
-    Conn &c = st_.conns[f.conn];
-    c.id = f.conn;
-    c.peer = peer;
-    c.established = true;
-    c.rto = cfg_.rtoInitial;
-    c.rcvQueue.reserve(cfg_.rcvQueueMsgs);
-    st_.active[peer] = f.conn;
-
-    net::Frame ack;
-    ack.srcPort = node_.intraPort();
-    ack.dstPort = f.srcPort;
-    ack.proto = net::Proto::Tcp;
-    ack.kind = SynAck;
-    ack.conn = f.conn;
-    ack.bytes = cfg_.headerBytes;
-    node_.intraNet().send(std::move(ack));
-
-    cbs_.onPeerConnected(peer);
-}
-
-void
-TcpComm::handleSynAck(const net::Frame &f)
-{
-    auto it = st_.conns.find(f.conn);
-    if (it == st_.conns.end() || it->second.established)
-        return;
-    Conn &c = it->second;
-    c.established = true;
-    node_.simulation().events().cancel(c.synTimer);
-    cbs_.onPeerConnected(c.peer);
-    pump(c);
-}
-
-void
 TcpComm::handleRst(const net::Frame &f)
 {
-    auto it = st_.conns.find(f.conn);
-    if (it == st_.conns.end())
+    const TcpConn *c = st_.chans.find(f.conn);
+    if (!c)
         return;
-    Conn &c = it->second;
-    if (!c.established) {
-        // Connect refused.
-        sim::NodeId peer = c.peer;
-        node_.simulation().events().cancel(c.synTimer);
-        if (st_.active.count(peer) && st_.active[peer] == f.conn)
-            st_.active.erase(peer);
-        st_.conns.erase(it);
-        cbs_.onConnectFailed(peer);
-        return;
-    }
-    abortConn(f.conn, BreakReason::ConnReset, /*send_rst=*/false);
+    // A reset answering our SYN refuses the connect; any other breaks
+    // the connection.
+    retire(f.conn, c->established ? Retire::Broken : Retire::Refused,
+           BreakReason::ConnReset);
 }
 
 void
 TcpComm::handleData(net::Frame &&f)
 {
-    auto it = st_.conns.find(f.conn);
-    if (it == st_.conns.end()) {
+    TcpConn *c = st_.chans.find(f.conn);
+    if (!c) {
         // Segment for a connection this incarnation does not know.
-        sendRawRst(f.srcPort, f.conn);
+        sendControl(f.srcPort, Rst, f.conn);
         return;
     }
-    Conn &c = it->second;
 
-    if (f.seq < c.seqExpected) {
+    if (f.seq < c->seqExpected) {
         // Duplicate (our ack was lost); re-ack so the sender advances.
-        net::Frame ack;
-        ack.srcPort = node_.intraPort();
-        ack.dstPort = f.srcPort;
-        ack.proto = net::Proto::Tcp;
-        ack.kind = Ack;
-        ack.conn = f.conn;
-        ack.seq = f.seq;
-        ack.bytes = cfg_.headerBytes;
-        node_.intraNet().send(std::move(ack));
+        sendControl(f.srcPort, Ack, f.conn, f.seq);
         return;
     }
-    if (f.seq > c.seqExpected)
+    if (f.seq > c->seqExpected)
         return; // out of order (cannot happen with one in flight)
 
     // Acceptance needs receive-queue space and an skbuf.
-    if (c.rcvQueue.size() >= cfg_.rcvQueueMsgs)
+    if (c->rcvQueue.size() >= cfg_.rcvQueueMsgs)
         return; // silently dropped; sender retransmits
     if (!node_.kernelMem().alloc(f.bytes))
         return; // memory exhaustion: inbound segments are dropped
     node_.kernelMem().free(f.bytes);
 
-    ++c.seqExpected;
+    ++c->seqExpected;
 
     InMsg in;
-    in.peer = c.peer;
-    in.desync = f.corrupted;
     if (f.payload)
         in.msg = *f.payload.get<AppMessage>();
-    c.rcvQueue.push_back(std::move(in));
+    if (f.corrupted) {
+        // The framing layer on top of the byte stream reads garbage
+        // lengths: unrecoverable.
+        in.fatal = "TCP byte stream desynchronized by bad send parameters";
+    }
+    c->rcvQueue.push_back(std::move(in));
 
-    net::Frame ack;
-    ack.srcPort = node_.intraPort();
-    ack.dstPort = f.srcPort;
-    ack.proto = net::Proto::Tcp;
-    ack.kind = Ack;
-    ack.conn = f.conn;
-    ack.seq = f.seq;
-    ack.bytes = cfg_.headerBytes;
-    node_.intraNet().send(std::move(ack));
-
-    scheduleDeliveries(c);
+    sendControl(f.srcPort, Ack, f.conn, f.seq);
+    scheduleDeliveries(*c);
 }
 
 void
 TcpComm::handleAck(const net::Frame &f)
 {
-    auto it = st_.conns.find(f.conn);
-    if (it == st_.conns.end())
-        return;
-    Conn &c = it->second;
-    if (!c.inFlight || c.sndQueue.empty() ||
-        c.sndQueue.front().seq != f.seq)
+    TcpConn *c = st_.chans.find(f.conn);
+    if (!c || !c->inFlight || c->sndQueue.empty() ||
+        c->sndQueue.front().seq != f.seq)
         return;
 
-    node_.simulation().events().cancel(c.rtoTimer);
-    if (c.skbufHeld)
-        node_.kernelMem().free(c.sndQueue.front().wireBytes);
-    c.skbufHeld = false;
-    c.sndBytes -= c.sndQueue.front().msg->bytes;
-    c.sndQueue.pop_front();
-    c.inFlight = false;
-    c.firstFailAt = 0;
-    c.rto = cfg_.rtoInitial;
+    node_.simulation().events().cancel(c->rtoTimer);
+    if (c->skbufHeld)
+        node_.kernelMem().free(c->sndQueue.front().wireBytes);
+    c->skbufHeld = false;
+    c->sndBytes -= c->sndQueue.front().msg->bytes;
+    c->sndQueue.pop_front();
+    c->inFlight = false;
+    c->firstFailAt = 0;
+    c->rto = cfg_.rtoInitial;
 
-    maybeUnblockSender(c);
-    pump(c);
+    maybeUnblockSender(*c);
+    pump(*c);
 }
 
 void
-TcpComm::maybeUnblockSender(Conn &c)
+TcpComm::maybeUnblockSender(TcpConn &c)
 {
     if (c.senderBlocked && c.sndBytes <= (cfg_.sndBufBytes * 3) / 4) {
         c.senderBlocked = false;
         cbs_.onSendReady();
-    }
-}
-
-void
-TcpComm::scheduleDeliveries(Conn &c)
-{
-    if (!st_.appReceiving)
-        return;
-    std::uint64_t id = c.id;
-    while (c.scheduledDeliveries < c.rcvQueue.size()) {
-        const InMsg &in = c.rcvQueue[c.scheduledDeliveries];
-        ++c.scheduledDeliveries;
-        sim::Tick cost = cfg_.costs.recvFixed +
-            static_cast<sim::Tick>(cfg_.costs.recvPerKb *
-                static_cast<double>(in.msg.bytes) / 1024.0);
-        node_.cpu().exec(cost, [this, id] {
-            auto it = st_.conns.find(id);
-            if (it == st_.conns.end() || it->second.rcvQueue.empty() ||
-                it->second.scheduledDeliveries == 0)
-                return;
-            --it->second.scheduledDeliveries;
-            if (!st_.appReceiving) {
-                // SIGSTOP raced the delivery: leave the message queued
-                // for the next setAppReceiving(true).
-                return;
-            }
-            InMsg msg = std::move(it->second.rcvQueue.front());
-            it->second.rcvQueue.pop_front();
-            if (msg.desync) {
-                // The framing layer on top of the byte stream reads
-                // garbage lengths: unrecoverable.
-                cbs_.onFatalError("TCP byte stream desynchronized "
-                                  "by bad send parameters");
-                return;
-            }
-            cbs_.onMessage(msg.peer, std::move(msg.msg));
-        });
     }
 }
 

@@ -28,25 +28,16 @@
 #define PERFORMA_PROTO_TCP_HH
 
 #include <cstdint>
-#include <map>
+#include <optional>
 
 #include "net/frame.hh"
 #include "os/node.hh"
+#include "proto/channels.hh"
 #include "proto/comm.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/simulation.hh"
 
 namespace performa::proto {
-
-/** CPU cost parameters for one side of a message operation. */
-struct CommCosts
-{
-    sim::Tick sendFixed = 0;   ///< per-send fixed CPU
-    double sendPerKb = 0.0;    ///< per-KB send CPU (copies, checksum)
-    sim::Tick recvFixed = 0;   ///< per-receive fixed CPU
-    double recvPerKb = 0.0;    ///< per-KB receive CPU
-    sim::Tick deliveryDelay = 0; ///< extra delivery latency (polling)
-};
 
 /** Tunables for the TCP model. */
 struct TcpConfig
@@ -67,52 +58,13 @@ struct TcpConfig
     std::uint64_t datagramBytes = 64;
     /** Default CPU costs: calibrated kernel-TCP values (see
      *  press::tcpConfigFor, which PRESS deployments use). */
-    CommCosts costs{sim::usec(63), 12.0, sim::usec(74), 12.0, 0};
+    CommCosts costs{sim::usec(63), 12.0, sim::usec(74), 12.0};
 };
 
-/**
- * The kernel TCP endpoint of one server process. Attached to a Node;
- * demultiplexes Proto::Tcp and Proto::Datagram frames from the
- * intra-cluster network.
- */
-class TcpComm : public ClusterComm
+/** One TCP connection endpoint: the shared channel fields plus the
+ *  byte stream's sender and receiver state. */
+struct TcpConn : Channel
 {
-  public:
-    /** Peers are addressed by node id, so @p node must own intra port
-     *  node.id(); PANICs otherwise. */
-    TcpComm(osim::Node &node, TcpConfig cfg);
-
-    void setCallbacks(CommCallbacks cbs) override { cbs_ = std::move(cbs); }
-    void start() override;
-    void connect(sim::NodeId peer) override;
-    bool connected(sim::NodeId peer) const override;
-    SendStatus send(sim::NodeId peer, AppMessage msg,
-                    const SendParams &params) override;
-    void sendDatagram(sim::NodeId peer, std::uint32_t kind,
-                      sim::RcAny payload = {}) override;
-    void consumed(sim::NodeId peer) override;
-    void disconnect(sim::NodeId peer) override;
-    void shutdown() override;
-    void vanish() override;
-    void setAppReceiving(bool on) override;
-
-    /** CPU the caller burns issuing a send of @p bytes. */
-    sim::Tick sendCost(std::uint64_t bytes) const override;
-
-    const TcpConfig &config() const { return cfg_; }
-
-  private:
-    friend class sim::SnapshotRegistry;
-
-    enum FrameKind : std::uint32_t
-    {
-        Syn,
-        SynAck,
-        Rst,
-        Data,
-        Ack,
-    };
-
     /**
      * What a queued outbound message looks like. The pooled payload is
      * created once at send() time; every (re)transmission attaches the
@@ -129,68 +81,78 @@ class TcpComm : public ClusterComm
         bool desync = false;
     };
 
-    struct InMsg
+    // sender side
+    sim::RingBuffer<OutMsg> sndQueue;
+    std::uint64_t sndBytes = 0;
+    std::uint64_t seqNext = 0;
+    bool inFlight = false;
+    bool skbufHeld = false; ///< in-flight frame holds kernel memory
+    sim::Tick rto = 0;
+    sim::Tick firstFailAt = 0; ///< 0 = progressing
+    sim::EventHandle rtoTimer;
+    sim::EventHandle memRetryTimer;
+
+    // receiver side
+    std::uint64_t seqExpected = 0;
+};
+
+/**
+ * The kernel TCP endpoint of one server process. Attached to a Node;
+ * demultiplexes Proto::Tcp and Proto::Datagram frames from the
+ * intra-cluster network.
+ */
+class TcpComm : public ChannelComm<TcpComm, TcpConn>
+{
+  public:
+    /** Peers are addressed by node id, so @p node must own intra port
+     *  node.id(); PANICs otherwise. */
+    TcpComm(osim::Node &node, TcpConfig cfg);
+
+    void start() override;
+    SendStatus send(sim::NodeId peer, AppMessage msg,
+                    const SendParams &params) override;
+    void sendDatagram(sim::NodeId peer, std::uint32_t kind,
+                      sim::RcAny payload = {}) override;
+    void consumed(sim::NodeId peer) override;
+    void vanish() override;
+
+    const TcpConfig &config() const { return cfg_; }
+
+  private:
+    friend class sim::SnapshotRegistry;
+    friend class ChannelComm<TcpComm, TcpConn>;
+
+    enum FrameKind : std::uint32_t
     {
-        AppMessage msg;
-        sim::NodeId peer;
-        bool desync = false;
+        Syn,
+        SynAck,
+        Rst,
+        Data,
+        Ack,
     };
 
-    /** One direction-agnostic connection endpoint. */
-    struct Conn
-    {
-        std::uint64_t id = 0;
-        sim::NodeId peer = sim::invalidNode;
-        bool established = false;
+    static constexpr net::Proto wireProto = net::Proto::Tcp;
+    static constexpr ControlKinds control{Syn, SynAck, Rst, Rst};
 
-        // sender side
-        sim::RingBuffer<OutMsg> sndQueue;
-        std::uint64_t sndBytes = 0;
-        std::uint64_t seqNext = 0;
-        bool inFlight = false;
-        bool skbufHeld = false; ///< in-flight frame holds kernel memory
-        sim::Tick rto = 0;
-        sim::Tick firstFailAt = 0; ///< 0 = progressing
-        sim::EventHandle rtoTimer;
-        sim::EventHandle memRetryTimer;
-        bool senderBlocked = false;
+    TcpConn &open(std::uint64_t id, sim::NodeId peer);
+    void release(TcpConn &c);
+    /** Interrupt-driven reception: no poll delay. */
+    std::optional<sim::Tick> pollDelay() const { return std::nullopt; }
 
-        // connect side
-        int synTries = 0;
-        sim::EventHandle synTimer;
-
-        // receiver side
-        std::uint64_t seqExpected = 0;
-        sim::RingBuffer<InMsg> rcvQueue;
-        /** Deliveries queued on the CPU but not yet executed. */
-        std::size_t scheduledDeliveries = 0;
-    };
-
-    void reset();
-    void handleSynRetry(std::uint64_t conn_id);
     void handleFrame(net::Frame &&f);
-    void handleSyn(const net::Frame &f);
-    void handleSynAck(const net::Frame &f);
     void handleRst(const net::Frame &f);
     void handleData(net::Frame &&f);
     void handleAck(const net::Frame &f);
 
-    /** Transmit (or re-transmit) the head of @p c's send queue. */
-    void pump(Conn &c);
-    void armRto(Conn &c);
+    /** Start transmitting the head of @p c's send queue, if idle. */
+    void pump(TcpConn &c);
+    /** Put the head of @p c's send queue on the wire (again). */
+    void transmitHead(const TcpConn &c);
+    void armRto(TcpConn &c);
     void onRtoFired(std::uint64_t conn_id);
-    void abortConn(std::uint64_t conn_id, BreakReason reason,
-                   bool send_rst);
-    void sendRawRst(sim::NodeId peer, std::uint64_t conn_id);
-    void scheduleDeliveries(Conn &c);
-    void maybeUnblockSender(Conn &c);
+    void maybeUnblockSender(TcpConn &c);
 
-    Conn *findByPeer(sim::NodeId peer);
-    const Conn *findByPeer(sim::NodeId peer) const;
-
-    osim::Node &node_;
     TcpConfig cfg_;
-    CommCallbacks cbs_;
 
     /**
      * Snapshot state: listen/receive flags and every connection
@@ -202,12 +164,7 @@ class TcpComm : public ClusterComm
     {
         bool listening = false;
         bool appReceiving = true;
-        // Ordered maps, deliberately: shutdown()/setAppReceiving()/
-        // reset() iterate the connection table with wire- and
-        // CPU-visible side effects, so iteration order must be
-        // identical between a warmed endpoint and its restored fork.
-        std::map<std::uint64_t, Conn> conns;
-        std::map<sim::NodeId, std::uint64_t> active;
+        ChannelTable<TcpConn> chans;
     };
 
     State st_;

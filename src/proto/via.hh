@@ -28,12 +28,12 @@
 #define PERFORMA_PROTO_VIA_HH
 
 #include <cstdint>
-#include <map>
+#include <optional>
 
 #include "net/frame.hh"
 #include "os/node.hh"
+#include "proto/channels.hh"
 #include "proto/comm.hh"
-#include "proto/tcp.hh" // for CommCosts
 #include "sim/ring_buffer.hh"
 #include "sim/simulation.hh"
 
@@ -62,35 +62,43 @@ struct ViaConfig
     int connectRetries = 3;
     /** Default CPU costs: calibrated VIA send/receive values (see
      *  press::viaConfigFor, which PRESS deployments use). */
-    CommCosts costs{sim::usec(21), 9.0, sim::usec(42), 9.0, 0};
+    CommCosts costs{sim::usec(21), 9.0, sim::usec(42), 9.0};
+};
+
+/** One VI: the shared channel fields plus credits and the send
+ *  queue. */
+struct ViaVi : Channel
+{
+    /** Pooled once at send(); the wire frame shares the handle. */
+    struct OutMsg
+    {
+        sim::Rc<AppMessage> msg;
+        std::uint64_t wireBytes;
+    };
+
+    std::uint32_t remoteCredits = 0;
+    sim::RingBuffer<OutMsg> sndQueue;
+    bool inFlight = false;
 };
 
 /**
  * The VIA provider + VIPL library endpoint for one server process.
  */
-class ViaComm : public ClusterComm
+class ViaComm : public ChannelComm<ViaComm, ViaVi>
 {
   public:
     /** Peers are addressed by node id, so @p node must own intra port
      *  node.id(); PANICs otherwise. */
     ViaComm(osim::Node &node, ViaConfig cfg);
 
-    void setCallbacks(CommCallbacks cbs) override { cbs_ = std::move(cbs); }
     void start() override;
-    void connect(sim::NodeId peer) override;
-    bool connected(sim::NodeId peer) const override;
     SendStatus send(sim::NodeId peer, AppMessage msg,
                     const SendParams &params) override;
     void sendDatagram(sim::NodeId peer, std::uint32_t kind,
                       sim::RcAny payload = {}) override;
     void consumed(sim::NodeId peer) override;
-    void disconnect(sim::NodeId peer) override;
     void shutdown() override;
     void vanish() override;
-    void setAppReceiving(bool on) override;
-
-    /** CPU the caller burns posting a send of @p bytes. */
-    sim::Tick sendCost(std::uint64_t bytes) const override;
 
     /**
      * Register (pin) application memory, e.g. VIA-PRESS-5's cached
@@ -109,6 +117,7 @@ class ViaComm : public ClusterComm
 
   private:
     friend class sim::SnapshotRegistry;
+    friend class ChannelComm<ViaComm, ViaVi>;
 
     enum FrameKind : std::uint32_t
     {
@@ -121,56 +130,24 @@ class ViaComm : public ClusterComm
         ErrorNotify, ///< RDMA completion error raised at the remote end
     };
 
-    /** Pooled once at send(); the wire frame shares the handle. */
-    struct OutMsg
-    {
-        sim::Rc<AppMessage> msg;
-        std::uint64_t wireBytes;
-    };
+    static constexpr net::Proto wireProto = net::Proto::Via;
+    static constexpr ControlKinds control{ConnReq, ConnAck, ConnRefused,
+                                          BreakNotify};
 
-    struct InMsg
-    {
-        AppMessage msg;
-        sim::NodeId peer;
-    };
+    ViaVi &open(std::uint64_t id, sim::NodeId peer);
+    /** A VI holds nothing to release beyond its connect timer. */
+    void release(ViaVi &) {}
+    std::optional<sim::Tick> pollDelay() const;
 
-    struct Vi
-    {
-        std::uint64_t id = 0;
-        sim::NodeId peer = sim::invalidNode;
-        bool established = false;
-
-        std::uint32_t remoteCredits = 0;
-        sim::RingBuffer<OutMsg> sndQueue;
-        bool inFlight = false;
-        bool senderBlocked = false;
-
-        sim::RingBuffer<InMsg> rcvQueue;
-        std::size_t scheduledDeliveries = 0;
-
-        int connTries = 0;
-        sim::EventHandle connTimer;
-    };
-
-    void reset();
     void handleFrame(net::Frame &&f);
-    void handleConnReq(const net::Frame &f);
     void handleData(net::Frame &&f);
-    void pump(Vi &vi);
-    void breakVi(std::uint64_t vi_id, BreakReason reason, bool notify);
-    void scheduleDeliveries(Vi &vi);
-    void sendControl(sim::NodeId peer, FrameKind kind, std::uint64_t vi_id);
-    void handleConnRetry(std::uint64_t vi_id);
+    void pump(ViaVi &vi);
 
-    Vi *findByPeer(sim::NodeId peer);
-    const Vi *findByPeer(sim::NodeId peer) const;
-
-    bool polled() const { return cfg_.mode != ViaMode::SendRecv; }
+    /** VIA-PRESS-3/5: data moves by RDMA writes, which the receiver
+     *  polls for, and a bad descriptor is reported at both ends. */
     bool remoteWrite() const { return cfg_.mode != ViaMode::SendRecv; }
 
-    osim::Node &node_;
     ViaConfig cfg_;
-    CommCallbacks cbs_;
 
     /** Snapshot state: flags, pinned-byte accounting and every VI
      *  (queues deep-copied, payload handles refcount-bumped). */
@@ -179,8 +156,7 @@ class ViaComm : public ClusterComm
         bool listening = false;
         bool appReceiving = true;
         std::uint64_t pinnedByUs = 0; ///< total we registered (for reset)
-        std::map<std::uint64_t, Vi> vis;
-        std::map<sim::NodeId, std::uint64_t> active;
+        ChannelTable<ViaVi> chans;
     };
 
     State st_;

@@ -387,6 +387,62 @@ TEST(Tcp, SimultaneousConnectsConvergeOnOneConnection)
     EXPECT_TRUE(w.eps[1].broken.empty());
 }
 
+TEST(Tcp, ResumedReceiverDeliversQueuedMessagesInConnectionIdOrder)
+{
+    // SIGCONT walks the connection table in connection-id order, not
+    // in peer order: node 2 accepts node 3's connection before node
+    // 1's, so node 3's message is handed over first even though node
+    // 1's arrived first.
+    TcpWorld w(4);
+    w.eps[3].tcp->connect(2);
+    w.s.runUntil(msec(100));
+    w.eps[1].tcp->connect(2);
+    w.s.runUntil(msec(200));
+    ASSERT_TRUE(w.eps[2].tcp->connected(3));
+    ASSERT_TRUE(w.eps[2].tcp->connected(1));
+
+    w.eps[2].tcp->setAppReceiving(false); // SIGSTOP
+    ASSERT_EQ(w.eps[1].tcp->send(2, w.msg(512, 1), {}), SendStatus::Ok);
+    w.s.runUntil(msec(300));
+    ASSERT_EQ(w.eps[3].tcp->send(2, w.msg(512, 3), {}), SendStatus::Ok);
+    w.s.runUntil(msec(400));
+    EXPECT_TRUE(w.eps[2].received.empty());
+
+    w.eps[2].tcp->setAppReceiving(true); // SIGCONT
+    w.s.runUntil(msec(500));
+    ASSERT_EQ(w.eps[2].received.size(), 2u);
+    EXPECT_EQ(w.eps[2].received[0].type, 3u);
+    EXPECT_EQ(w.eps[2].received[1].type, 1u);
+}
+
+TEST(Tcp, ConnectOverPendingConnectLeavesTheOldOneLive)
+{
+    // A second connect() while the first is still pending (a PRESS
+    // membership probe can do this) does not drop the first: each
+    // runs to its own outcome and reports it.
+    TcpWorld w;
+    w.intra.setSwitchUp(false);
+    w.eps[0].tcp->connect(1);
+    w.eps[0].tcp->connect(1);
+    w.s.runUntil(sec(30)); // both exhaust their SYN retries
+    EXPECT_EQ(w.eps[0].connectFailed, (std::vector<NodeId>{1, 1}));
+
+    w.intra.setSwitchUp(true);
+    w.eps[0].tcp->connect(1);
+    w.eps[0].tcp->connect(1);
+    w.s.runUntil(sec(31));
+    EXPECT_EQ(w.eps[0].connected, (std::vector<NodeId>{1, 1}));
+    EXPECT_EQ(w.eps[1].connected, (std::vector<NodeId>{0, 0}));
+    // The newer connection carries the traffic in both directions.
+    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(512), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[1].tcp->send(0, w.msg(512), {}), SendStatus::Ok);
+    w.s.runUntil(sec(32));
+    EXPECT_EQ(w.eps[1].received.size(), 1u);
+    EXPECT_EQ(w.eps[0].received.size(), 1u);
+    EXPECT_TRUE(w.eps[0].broken.empty());
+    EXPECT_TRUE(w.eps[1].broken.empty());
+}
+
 TEST(Tcp, RetransmitSharesPooledPayloadWithoutUseAfterFree)
 {
     // The ABA/use-after-free trap of the payload pool: one pooled body

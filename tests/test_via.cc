@@ -386,6 +386,61 @@ TEST(Via, QuietViReplacementWakesBlockedSender)
     EXPECT_GE(w.eps[0].sendReady, 1);
 }
 
+TEST(Via, ResumedReceiverDeliversQueuedMessagesInViIdOrder)
+{
+    // SIGCONT walks the VI table in VI-id order, not in peer order:
+    // node 2 accepts node 3's VI before node 1's, so node 3's message
+    // is handed over first even though node 1's arrived first.
+    ViaWorld w(4);
+    w.eps[3].via->connect(2);
+    w.s.runUntil(msec(100));
+    w.eps[1].via->connect(2);
+    w.s.runUntil(msec(200));
+    ASSERT_TRUE(w.eps[2].via->connected(3));
+    ASSERT_TRUE(w.eps[2].via->connected(1));
+
+    w.eps[2].via->setAppReceiving(false); // SIGSTOP
+    ASSERT_EQ(w.eps[1].via->send(2, w.msg(512, 1), {}), SendStatus::Ok);
+    w.s.runUntil(msec(300));
+    ASSERT_EQ(w.eps[3].via->send(2, w.msg(512, 3), {}), SendStatus::Ok);
+    w.s.runUntil(msec(400));
+    EXPECT_TRUE(w.eps[2].received.empty());
+
+    w.eps[2].via->setAppReceiving(true); // SIGCONT
+    w.s.runUntil(msec(500));
+    ASSERT_EQ(w.eps[2].received.size(), 2u);
+    EXPECT_EQ(w.eps[2].received[0].type, 3u);
+    EXPECT_EQ(w.eps[2].received[1].type, 1u);
+}
+
+TEST(Via, ConnectOverPendingConnectLeavesTheOldOneLive)
+{
+    // A second connect() while the first is still pending (a PRESS
+    // membership probe can do this) does not drop the first: each
+    // runs to its own outcome and reports it.
+    ViaWorld w;
+    w.intra.setSwitchUp(false);
+    w.eps[0].via->connect(1);
+    w.eps[0].via->connect(1);
+    w.s.runUntil(sec(10)); // both exhaust their ConnReq retries
+    EXPECT_EQ(w.eps[0].connectFailed, (std::vector<NodeId>{1, 1}));
+
+    w.intra.setSwitchUp(true);
+    w.eps[0].via->connect(1);
+    w.eps[0].via->connect(1);
+    w.s.runUntil(sec(11));
+    EXPECT_EQ(w.eps[0].connected, (std::vector<NodeId>{1, 1}));
+    EXPECT_EQ(w.eps[1].connected, (std::vector<NodeId>{0, 0}));
+    // The newer VI carries the traffic in both directions.
+    ASSERT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[1].via->send(0, w.msg(512), {}), SendStatus::Ok);
+    w.s.runUntil(sec(12));
+    EXPECT_EQ(w.eps[1].received.size(), 1u);
+    EXPECT_EQ(w.eps[0].received.size(), 1u);
+    EXPECT_TRUE(w.eps[0].broken.empty());
+    EXPECT_TRUE(w.eps[1].broken.empty());
+}
+
 TEST(ViaDeathTest, NodeMustOwnTheIntraPortOfItsId)
 {
     // Peers are addressed by node id, so a node on another intra port
