@@ -312,40 +312,3 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
 }
 
 } // namespace performa::campaign
-
-namespace performa::exp {
-
-// BehaviorDb::ensureAll is declared with the database (exp/) but
-// implemented here so the serial fallback and the parallel campaign
-// are one code path. Link performa_campaign (or the `performa`
-// umbrella) to use it.
-void
-BehaviorDb::ensureAll(const std::string &cache_path,
-                      std::function<void(press::Version,
-                                         fault::FaultKind, bool)>
-                          progress)
-{
-    campaign::Phase1Options opts;
-    if (progress) {
-        // Cached pairs are reported up front (in grid order) so the
-        // legacy per-pair callback still sees every grid point;
-        // measured pairs stream in as their jobs complete.
-        BehaviorDb cached;
-        cached.setFingerprint(campaign::phase1Fingerprint(opts));
-        if (!cache_path.empty())
-            cached.load(cache_path);
-        for (press::Version v : press::allVersions)
-            for (fault::FaultKind k : fault::allFaultKinds)
-                if (cached.has(v, k))
-                    progress(v, k, true);
-        opts.progress = [&progress](const campaign::Progress &p) {
-            if (p.last->tag == campaign::kWarmupJobTag)
-                return; // shared warm-ups aren't grid points
-            auto [v, k] = campaign::phase1TagKey(p.last->tag);
-            progress(v, k, false);
-        };
-    }
-    campaign::ensurePhase1(*this, cache_path, opts);
-}
-
-} // namespace performa::exp

@@ -3,7 +3,7 @@
  * The phase-1 measurement campaign: every (PRESS version, fault kind)
  * pair of the study, measured as independent fault-injection
  * experiments sharded across a worker pool. This is the parallel
- * engine behind BehaviorDb::ensureAll and the performa_campaign CLI.
+ * engine behind the performa_campaign CLI, the benches and examples.
  *
  * Determinism contract: each combination's RNG seed is a pure
  * function of (campaign seed, version, cluster size, load scale,

@@ -50,9 +50,6 @@ experimentFor(press::Version v, fault::FaultKind k)
     return cfg;
 }
 
-// ensureAll lives in campaign/phase1.cc: measurement of the missing
-// grid points is sharded across the campaign worker pool.
-
 bool
 BehaviorDb::has(press::Version v, fault::FaultKind k) const
 {

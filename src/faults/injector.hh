@@ -49,7 +49,8 @@ class Injector
 
   private:
     void recover(const FaultSpec &spec);
-    void emit(const std::string &what, sim::NodeId node);
+    /** Report "<phase><fault name>" for @p spec to the event fn. */
+    void emit(const char *phase, const FaultSpec &spec);
 
     sim::Simulation &sim_;
     press::Cluster &cluster_;

@@ -56,14 +56,13 @@ struct FwdRequestBody : MsgBase
     sim::RequestId req = 0;
     sim::FileId file = 0;
     sim::NodeId initial = sim::invalidNode;
-    std::uint32_t clientPort = 0;
 };
 
 struct FileDataBody : MsgBase
 {
+    /** The initial node answers the client from its pending-forward
+     *  record of this request. */
     sim::RequestId req = 0;
-    sim::FileId file = 0;
-    std::uint32_t clientPort = 0;
     /** When the service node began fetching the file (latency stamp;
      *  echoed to the client for the queue/service split). */
     sim::Tick serviceStartAt = 0;

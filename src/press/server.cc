@@ -21,6 +21,9 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
                                         allNodes_.end())) + 1;
     st_.directory = Directory(slots);
     st_.loads.assign(slots, 0);
+    // Each pending forward is an outstanding request, and at most
+    // acceptCap are outstanding.
+    st_.pendingFwd.reserve(cfg_.acceptCap);
 
     disk_ = std::make_unique<DiskArray>(node_.simulation(),
                                         cfg_.disksPerNode, cfg_.diskSeek,
@@ -43,7 +46,7 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
     };
     cbs.onSendReady = [this] {
         if (st_.alive)
-            onSendReady();
+            unstall();
     };
     cbs.onFatalError = [this](const std::string &reason) {
         if (st_.alive)
@@ -231,10 +234,11 @@ Server::onClientFrame(net::Frame &&f)
 }
 
 sim::Tick
-clientSendCost(const PressCosts &costs, std::uint64_t bytes)
+Server::replyCost(sim::FileId f) const
 {
-    return costs.clientSendFixed +
-           static_cast<sim::Tick>(costs.clientSendPerKb *
+    auto bytes = cfg_.sizeOf(f) + cfg_.fileRespOverheadBytes;
+    return cfg_.costs.clientSendFixed +
+           static_cast<sim::Tick>(cfg_.costs.clientSendPerKb *
                                   static_cast<double>(bytes) / 1024.0);
 }
 
@@ -272,23 +276,17 @@ Server::dispatch(const ClientRequestBody &req)
         st_.directory.nodesFor(req.file), [this](sim::NodeId n) {
             return n != node_.id() && st_.members.count(n);
         });
-    if (target != sim::invalidNode) {
-        ++st_.stats.forwarded;
-        forwardRequest(req, target);
-        return;
+    if (target == sim::invalidNode) {
+        // Nobody caches it: the least-loaded member fetches it from
+        // disk and becomes its caching node.
+        target = leastLoaded(st_.members, [](sim::NodeId) { return true; });
+        if (target == node_.id()) {
+            ++st_.stats.localMisses;
+            serveFromDisk(req);
+            return;
+        }
     }
-
-    // Nobody caches it: the least-loaded member fetches it from disk
-    // and becomes its caching node.
-    sim::NodeId svc =
-        leastLoaded(st_.members, [](sim::NodeId) { return true; });
-    if (svc == node_.id()) {
-        ++st_.stats.localMisses;
-        serveFromDisk(req);
-    } else {
-        ++st_.stats.forwarded;
-        forwardRequest(req, svc);
-    }
+    forwardRequest(req, target);
 }
 
 void
@@ -296,13 +294,8 @@ Server::serveFromCache(const ClientRequestBody &req)
 {
     st_.cache->touch(req.file);
     sim::Tick svc = node_.simulation().now();
-    std::uint64_t resp = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
-    mainExec(cfg_.costs.cacheRead + clientSendCost(cfg_.costs, resp),
-        [this, req, svc] {
-            respondToClient(req.req, req.replyPort, req.file,
-                            req.sentAt, req.acceptedAt, svc);
-            finishRequest();
-        });
+    mainExec(cfg_.costs.cacheRead + replyCost(req.file),
+             [this, req, svc] { respondToClient(req, svc); });
 }
 
 void
@@ -313,44 +306,39 @@ Server::serveFromDisk(const ClientRequestBody &req)
     disk_->read(cfg_.sizeOf(req.file), [this, e, req, svc] {
         if (e != st_.epoch || !st_.alive)
             return;
-        std::uint64_t resp =
-            cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
         mainExec(cfg_.costs.diskReadCpu + cfg_.costs.cacheRead +
-                 clientSendCost(cfg_.costs, resp),
+                     replyCost(req.file),
             [this, req, svc] {
                 cacheInsert(req.file);
-                respondToClient(req.req, req.replyPort, req.file,
-                                req.sentAt, req.acceptedAt, svc);
-                finishRequest();
+                respondToClient(req, svc);
             });
     });
+}
+
+Server::PendingTable::iterator
+Server::pendingAt(sim::RequestId id)
+{
+    return std::lower_bound(
+        st_.pendingFwd.begin(), st_.pendingFwd.end(), id,
+        [](const PendingFwd &p, sim::RequestId r) { return p.req.req < r; });
 }
 
 void
 Server::forwardRequest(const ClientRequestBody &req, sim::NodeId target)
 {
-    PendingFwd p;
-    p.file = req.file;
-    p.clientPort = req.replyPort;
-    p.target = target;
-    p.sentAt = node_.simulation().now();
-    p.req = req.req;
-    p.reqSentAt = req.sentAt;
-    p.reqAcceptedAt = req.acceptedAt;
-    st_.pendingFwd[req.req] = p;
+    ++st_.stats.forwarded;
+    PendingFwd p{req, target, node_.simulation().now()};
+    auto it = pendingAt(req.req);
+    if (it != st_.pendingFwd.end() && it->req.req == req.req)
+        *it = p;
+    else
+        st_.pendingFwd.insert(it, p);
 
     FwdRequestBody body;
-    body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
     body.req = req.req;
     body.file = req.file;
     body.initial = node_.id();
-    body.clientPort = req.replyPort;
-
-    proto::AppMessage m;
-    m.type = MsgFwdRequest;
-    m.bytes = cfg_.fwdReqBytes;
-    m.body = node_.simulation().makePayload<FwdRequestBody>(body);
-
+    proto::AppMessage m = message(MsgFwdRequest, cfg_.fwdReqBytes, body);
     mainExec(comm_->sendCost(m.bytes),
         [this, target, m = std::move(m)]() mutable {
             sendOrQueue(target, std::move(m));
@@ -358,24 +346,24 @@ Server::forwardRequest(const ClientRequestBody &req, sim::NodeId target)
 }
 
 void
-Server::respondToClient(sim::RequestId req, std::uint32_t reply_port,
-                        sim::FileId file, sim::Tick sent_at,
-                        sim::Tick accepted_at, sim::Tick service_start)
+Server::respondToClient(const ClientRequestBody &req,
+                        sim::Tick service_start)
 {
     net::Frame f;
     f.srcPort = node_.clientPort();
-    f.dstPort = reply_port;
+    f.dstPort = req.replyPort;
     f.proto = net::Proto::Client;
     f.kind = ClientResponse;
-    f.bytes = cfg_.sizeOf(file) + cfg_.fileRespOverheadBytes;
+    f.bytes = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
     auto body = node_.simulation().makePayload<ClientResponseBody>();
-    body->req = req;
-    body->sentAt = sent_at;
-    body->acceptedAt = accepted_at;
+    body->req = req.req;
+    body->sentAt = req.sentAt;
+    body->acceptedAt = req.acceptedAt;
     body->serviceStartAt = service_start;
     f.payload = std::move(body);
     node_.clientNet().send(std::move(f));
     ++st_.stats.responses;
+    finishRequest();
 }
 
 void
@@ -388,6 +376,15 @@ Server::finishRequest()
 // ---------------------------------------------------------------------
 // Intra-cluster messages
 // ---------------------------------------------------------------------
+
+template <class Body>
+sim::Rc<Body>
+Server::receive(sim::NodeId peer, const proto::AppMessage &msg)
+{
+    sim::Rc<Body> body = msg.body.cast<Body>();
+    st_.loads[peer] = body->senderLoad;
+    return body;
+}
 
 void
 Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
@@ -402,22 +399,14 @@ Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
         return; // stale traffic from an excluded node
 
     switch (msg.type) {
-      case MsgFwdRequest: {
-        auto *body = msg.body.get<FwdRequestBody>();
-        st_.loads[peer] = body->senderLoad;
-        handleFwdRequest(peer, *body);
+      case MsgFwdRequest:
+        handleFwdRequest(*receive<FwdRequestBody>(peer, msg));
         break;
-      }
-      case MsgFileData: {
-        auto *body = msg.body.get<FileDataBody>();
-        st_.loads[peer] = body->senderLoad;
-        handleFileData(*body);
+      case MsgFileData:
+        handleFileData(*receive<FileDataBody>(peer, msg));
         break;
-      }
       case MsgCacheUpdate: {
-        auto *body = msg.body.get<CacheUpdateBody>();
-        st_.loads[peer] = body->senderLoad;
-        CacheUpdateBody b = *body;
+        CacheUpdateBody b = *receive<CacheUpdateBody>(peer, msg);
         mainExec(cfg_.costs.broadcastHandle, [this, b] {
             if (b.added)
                 st_.directory.add(b.file, b.node);
@@ -427,9 +416,8 @@ Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
         break;
       }
       case MsgCacheInfo: {
-        // The handler runs later on the CPU: keep an owning handle.
-        auto b = msg.body.cast<CacheInfoBody>();
-        st_.loads[peer] = b->senderLoad;
+        // The handler runs later on the CPU: keep the owning handle.
+        auto b = receive<CacheInfoBody>(peer, msg);
         sim::Tick cost = sim::usec(1) + b->files.size() / 5;
         mainExec(cost, [this, b] {
             for (sim::FileId f : b->files)
@@ -438,10 +426,9 @@ Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
         break;
       }
       case MsgMemberDown: {
-        auto *body = msg.body.get<MemberDownBody>();
-        st_.loads[peer] = body->senderLoad;
-        if (st_.members.count(body->failed) && body->failed != node_.id())
-            excludeNode(body->failed);
+        sim::NodeId failed = receive<MemberDownBody>(peer, msg)->failed;
+        if (st_.members.count(failed) && failed != node_.id())
+            excludeNode(failed);
         break;
       }
       default:
@@ -450,20 +437,15 @@ Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
 }
 
 void
-Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
+Server::handleFwdRequest(const FwdRequestBody &body)
 {
     sim::Tick svc = node_.simulation().now();
+    std::uint64_t data = cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
     if (st_.cache->contains(body.file)) {
         ++st_.stats.fwdServed;
         st_.cache->touch(body.file);
-        std::uint64_t data =
-            cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
-        FwdRequestBody b = body;
         mainExec(cfg_.costs.cacheRead + comm_->sendCost(data),
-            [this, b, svc] {
-                sendFileData(b.initial, b.req, b.file, b.clientPort, svc);
-            });
-        (void)peer;
+                 [this, body, svc] { sendFileData(body, svc); });
         return;
     }
 
@@ -471,59 +453,40 @@ Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
     // caching node: fetch from disk and start caching the file.
     ++st_.stats.fwdMisses;
     std::uint64_t e = st_.epoch;
-    FwdRequestBody b = body;
-    disk_->read(cfg_.sizeOf(body.file), [this, e, b, svc] {
+    disk_->read(cfg_.sizeOf(body.file), [this, e, body, svc, data] {
         if (e != st_.epoch || !st_.alive)
             return;
-        std::uint64_t data =
-            cfg_.sizeOf(b.file) + cfg_.fileRespOverheadBytes;
         mainExec(cfg_.costs.diskReadCpu + comm_->sendCost(data),
-            [this, b, svc] {
-                cacheInsert(b.file);
-                sendFileData(b.initial, b.req, b.file, b.clientPort, svc);
+            [this, body, svc] {
+                cacheInsert(body.file);
+                sendFileData(body, svc);
             });
     });
 }
 
 void
-Server::sendFileData(sim::NodeId initial, sim::RequestId req,
-                     sim::FileId file, std::uint32_t client_port,
-                     sim::Tick service_start)
+Server::sendFileData(const FwdRequestBody &fwd, sim::Tick service_start)
 {
     FileDataBody body;
-    body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
-    body.req = req;
-    body.file = file;
-    body.clientPort = client_port;
+    body.req = fwd.req;
     body.serviceStartAt = service_start;
-
-    proto::AppMessage m;
-    m.type = MsgFileData;
-    m.bytes = cfg_.sizeOf(file) + cfg_.fileRespOverheadBytes;
-    m.body = node_.simulation().makePayload<FileDataBody>(body);
-    sendOrQueue(initial, std::move(m));
+    sendOrQueue(fwd.initial,
+                message(MsgFileData,
+                        cfg_.sizeOf(fwd.file) + cfg_.fileRespOverheadBytes,
+                        body));
 }
 
 void
 Server::handleFileData(const FileDataBody &body)
 {
-    auto it = st_.pendingFwd.find(body.req);
-    if (it == st_.pendingFwd.end())
+    auto it = pendingAt(body.req);
+    if (it == st_.pendingFwd.end() || it->req.req != body.req)
         return; // request was re-dispatched or swept; ignore late data
-    std::uint32_t port = it->second.clientPort;
-    sim::Tick sent = it->second.reqSentAt;
-    sim::Tick acc = it->second.reqAcceptedAt;
+    ClientRequestBody req = it->req;
     st_.pendingFwd.erase(it);
-
-    std::uint64_t resp = cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
-    sim::RequestId req = body.req;
-    sim::FileId file = body.file;
-    sim::Tick svc = body.serviceStartAt;
-    mainExec(clientSendCost(cfg_.costs, resp),
-        [this, req, port, file, sent, acc, svc] {
-            respondToClient(req, port, file, sent, acc, svc);
-            finishRequest();
-        });
+    mainExec(replyCost(req.file), [this, req, svc = body.serviceStartAt] {
+        respondToClient(req, svc);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -535,7 +498,7 @@ Server::onPeerConnected(sim::NodeId peer)
 {
     bool fresh = st_.members.insert(peer).second;
     st_.loads[peer] = 0;
-    recomputeRing();
+    st_.lastHbAt = node_.simulation().now(); // the ring changed
     hooks_.onMemberUp(node_.id(), peer);
     if (fresh && st_.cache && st_.cache->size() > 0)
         sendCacheInfoTo(peer);
@@ -555,49 +518,27 @@ Server::excludeNode(sim::NodeId failed)
     st_.directory.purgeNode(failed);
     st_.loads[failed] = 0;
     comm_->disconnect(failed);
-    recomputeRing();
+    st_.lastHbAt = node_.simulation().now(); // the ring changed
 
     // Drop queued traffic to the dead node.
     std::erase_if(st_.pendingSends,
                   [failed](const auto &p) { return p.first == failed; });
 
-    // Re-dispatch in-flight requests that were forwarded to it.
-    std::vector<PendingFwd> redo;
-    for (auto it = st_.pendingFwd.begin(); it != st_.pendingFwd.end();) {
-        if (it->second.target == failed) {
-            redo.push_back(it->second);
-            it = st_.pendingFwd.erase(it);
-        } else {
-            ++it;
-        }
+    // Re-dispatch, in request-id order, the requests forwarded to it
+    // (mainExec() only queues work, so the walk sees a stable table).
+    for (const PendingFwd &p : st_.pendingFwd) {
+        if (p.target == failed)
+            mainExec(sim::usec(5), [this, req = p.req] { dispatch(req); });
     }
-    for (const auto &p : redo) {
-        ClientRequestBody req;
-        req.req = p.req;
-        req.file = p.file;
-        req.replyPort = p.clientPort;
-        req.sentAt = p.reqSentAt;
-        req.acceptedAt = p.reqAcceptedAt;
-        mainExec(sim::usec(5), [this, req] { dispatch(req); });
-    }
+    std::erase_if(st_.pendingFwd,
+                  [failed](const PendingFwd &p) { return p.target == failed; });
 
     // If the main loop was stalled on a send, unstick it: the queued
     // sends to the dead peer were just dropped, and the blocked one
     // (if it targeted this peer) now fails with NotConnected.
-    if (st_.stalled) {
-        st_.stalled = false;
-        st_.stats.stalledTime += node_.simulation().now() - st_.stallStartedAt;
-        flushPending();
-        pumpMain();
-    }
+    unstall();
 
     hooks_.onExclude(node_.id(), failed);
-}
-
-void
-Server::recomputeRing()
-{
-    st_.lastHbAt = node_.simulation().now();
 }
 
 sim::NodeId
@@ -735,20 +676,11 @@ Server::hbCheckTick()
     // Three consecutive heartbeats missed: declare the predecessor
     // failed and tell the rest of the (believed) cluster.
     excludeNode(pred);
-    // A send never changes the member set, and a fatal one ends the
-    // process, so the set can be walked in place.
-    for (sim::NodeId m : st_.members) {
-        if (m == node_.id() || !st_.alive)
-            continue;
-        MemberDownBody body;
-        body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
-        body.failed = pred;
-        proto::AppMessage msg;
-        msg.type = MsgMemberDown;
-        msg.bytes = cfg_.cacheUpdateBytes;
-        msg.body = node_.simulation().makePayload<MemberDownBody>(body);
-        sendOrQueue(m, std::move(msg));
-    }
+    MemberDownBody body;
+    body.failed = pred;
+    sendToMembers([&] {
+        return message(MsgMemberDown, cfg_.cacheUpdateBytes, body);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -813,15 +745,32 @@ Server::membershipProbeTick()
 // Sending with main-loop blocking semantics
 // ---------------------------------------------------------------------
 
+template <class Body>
+proto::AppMessage
+Server::message(MsgType type, std::uint64_t bytes, Body body)
+{
+    body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
+    proto::AppMessage m;
+    m.type = type;
+    m.bytes = bytes;
+    m.body = node_.simulation().makePayload<Body>(std::move(body));
+    return m;
+}
+
 void
 Server::sendOrQueue(sim::NodeId peer, proto::AppMessage msg)
 {
     if (!st_.alive)
         return;
-    if (st_.stalled) {
+    if (st_.stalled)
         st_.pendingSends.emplace_back(peer, std::move(msg));
-        return;
-    }
+    else
+        trySend(peer, msg);
+}
+
+void
+Server::trySend(sim::NodeId peer, proto::AppMessage &msg)
+{
     switch (comm_->send(peer, msg, {})) {
       case proto::SendStatus::Ok:
         break;
@@ -844,7 +793,7 @@ Server::sendOrQueue(sim::NodeId peer, proto::AppMessage msg)
 }
 
 void
-Server::onSendReady()
+Server::unstall()
 {
     if (!st_.stalled)
         return;
@@ -857,49 +806,38 @@ Server::onSendReady()
 void
 Server::flushPending()
 {
+    // Stops when a send stalls the thread again or ends the process.
     while (!st_.pendingSends.empty() && !st_.stalled && st_.alive) {
         auto [peer, msg] = std::move(st_.pendingSends.front());
         st_.pendingSends.pop_front();
-        switch (comm_->send(peer, msg, {})) {
-          case proto::SendStatus::Ok:
-            break;
-          case proto::SendStatus::WouldBlock:
-            st_.pendingSends.emplace_front(peer, std::move(msg));
-            st_.stalled = true;
-            ++st_.stats.stallEvents;
-            st_.stallStartedAt = node_.simulation().now();
-            return;
-          case proto::SendStatus::NotConnected:
-            break;
-          case proto::SendStatus::Efault:
-            failFast("send() returned EFAULT (NULL data pointer)");
-            return;
-          case proto::SendStatus::Fatal:
-            failFast("communication library descriptor error");
-            return;
-        }
+        trySend(peer, msg);
+    }
+}
+
+template <class Make>
+void
+Server::sendToMembers(Make make)
+{
+    // A send never changes the member set, and a fatal one ends the
+    // process, so the set can be walked in place.
+    for (sim::NodeId m : st_.members) {
+        if (m == node_.id() || !st_.alive)
+            continue;
+        sendOrQueue(m, make());
     }
 }
 
 void
 Server::broadcastCacheUpdate(sim::FileId file, bool added)
 {
-    // Walked in place, as in hbCheckTick().
-    for (sim::NodeId m : st_.members) {
-        if (m == node_.id() || !st_.alive)
-            continue;
-        CacheUpdateBody body;
-        body.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
-        body.node = node_.id();
-        body.file = file;
-        body.added = added;
-        proto::AppMessage msg;
-        msg.type = MsgCacheUpdate;
-        msg.bytes = cfg_.cacheUpdateBytes;
-        msg.body = node_.simulation().makePayload<CacheUpdateBody>(body);
+    CacheUpdateBody body;
+    body.node = node_.id();
+    body.file = file;
+    body.added = added;
+    sendToMembers([&] {
         ++st_.stats.broadcastsSent;
-        sendOrQueue(m, std::move(msg));
-    }
+        return message(MsgCacheUpdate, cfg_.cacheUpdateBytes, body);
+    });
 }
 
 void
@@ -912,30 +850,14 @@ Server::sendCacheInfoTo(sim::NodeId peer)
     // armed bad-parameter fault), which terminates the process and
     // clears the cache out from under a live iterator.
     std::vector<sim::FileId> files = st_.cache->files();
-    CacheInfoBody chunk;
-    chunk.node = node_.id();
-    for (sim::FileId f : files) {
-        chunk.files.push_back(f);
-        if (chunk.files.size() >= per_chunk) {
-            proto::AppMessage msg;
-            msg.type = MsgCacheInfo;
-            msg.bytes = chunk.files.size() * cfg_.cacheInfoEntryBytes;
-            chunk.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
-            msg.body = node_.simulation().makePayload<CacheInfoBody>(chunk);
-            sendOrQueue(peer, std::move(msg));
-            if (!st_.alive)
-                return; // the send fail-fasted the process
-            chunk.files.clear();
-        }
-    }
-    if (st_.alive && !chunk.files.empty()) {
-        proto::AppMessage msg;
-        msg.type = MsgCacheInfo;
-        msg.bytes = chunk.files.size() * cfg_.cacheInfoEntryBytes;
-        chunk.senderLoad = static_cast<std::uint32_t>(st_.outstanding);
-        msg.body =
-            node_.simulation().makePayload<CacheInfoBody>(std::move(chunk));
-        sendOrQueue(peer, std::move(msg));
+    for (std::size_t i = 0; i < files.size() && st_.alive; i += per_chunk) {
+        CacheInfoBody chunk;
+        chunk.node = node_.id();
+        chunk.files.assign(files.begin() + i,
+                           files.begin() +
+                               std::min(files.size(), i + per_chunk));
+        std::uint64_t bytes = chunk.files.size() * cfg_.cacheInfoEntryBytes;
+        sendOrQueue(peer, message(MsgCacheInfo, bytes, std::move(chunk)));
     }
 }
 
@@ -989,14 +911,12 @@ Server::sweepTick()
 {
     scheduleEpoch(sim::sec(2), &Server::sweepTick);
     sim::Tick now = node_.simulation().now();
-    for (auto it = st_.pendingFwd.begin(); it != st_.pendingFwd.end();) {
-        if (now - it->second.sentAt > sim::sec(10)) {
-            it = st_.pendingFwd.erase(it);
-            finishRequest(); // the client has long since timed out
-        } else {
-            ++it;
-        }
-    }
+    std::size_t stale =
+        std::erase_if(st_.pendingFwd, [now](const PendingFwd &p) {
+            return now - p.forwardedAt > sim::sec(10);
+        });
+    for (; stale > 0; --stale)
+        finishRequest(); // the client has long since timed out
 }
 
 } // namespace performa::press

@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -53,6 +52,7 @@
 #include "press/messages.hh"
 #include "press/server_stats.hh"
 #include "proto/interpose.hh"
+#include "sim/pool.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
@@ -113,18 +113,14 @@ class Server : public osim::Service
     // Introspection (tests, experiments) ------------------------------
     const std::set<sim::NodeId> &members() const { return st_.members; }
     bool stoppedBySignal() const { return st_.stopped; }
-    bool stalled() const { return st_.stalled; }
     std::size_t
     cachedFiles() const
     {
         return st_.cache ? st_.cache->size() : 0;
     }
-    std::uint64_t served() const { return st_.stats.responses; }
 
     /** Monotonic per-server counters (survive process restarts). */
     const ServerStats &stats() const { return st_.stats; }
-    const PressConfig &config() const { return cfg_; }
-    osim::Node &node() { return node_; }
 
     /**
      * Pre-warm: place @p f directly in the cache and directory
@@ -146,24 +142,24 @@ class Server : public osim::Service
     void serveFromCache(const ClientRequestBody &req);
     void serveFromDisk(const ClientRequestBody &req);
     void forwardRequest(const ClientRequestBody &req, sim::NodeId target);
-    void respondToClient(sim::RequestId req, std::uint32_t reply_port,
-                         sim::FileId file, sim::Tick sent_at,
-                         sim::Tick accepted_at, sim::Tick service_start);
+    /** Send the response and end the request (finishRequest()). */
+    void respondToClient(const ClientRequestBody &req,
+                         sim::Tick service_start);
     void finishRequest();
 
     // -- intra-cluster messages -----------------------------------------
     void onMessage(sim::NodeId peer, proto::AppMessage &&msg);
-    void handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body);
+    /** Own @p msg's body and record the load piggy-backed on it. */
+    template <class Body>
+    sim::Rc<Body> receive(sim::NodeId peer, const proto::AppMessage &msg);
+    void handleFwdRequest(const FwdRequestBody &body);
     void handleFileData(const FileDataBody &body);
-    void sendFileData(sim::NodeId initial, sim::RequestId req,
-                      sim::FileId file, std::uint32_t client_port,
-                      sim::Tick service_start);
+    void sendFileData(const FwdRequestBody &fwd, sim::Tick service_start);
 
     // -- membership / reconfiguration ----------------------------------
     void onPeerConnected(sim::NodeId peer);
     void onPeerBroken(sim::NodeId peer, proto::BreakReason reason);
     void excludeNode(sim::NodeId failed);
-    void recomputeRing();
     sim::NodeId ringSuccessor() const;
     sim::NodeId ringPredecessor() const;
 
@@ -194,9 +190,19 @@ class Server : public osim::Service
      */
     void sendOrQueue(sim::NodeId peer, proto::AppMessage msg);
     void flushPending();
+    /** One send call; WouldBlock stalls the main thread with @p msg
+     *  queued first, a fatal status ends the process. */
+    void trySend(sim::NodeId peer, proto::AppMessage &msg);
+    /** @p body, stamped with the current load, as a message. */
+    template <class Body>
+    proto::AppMessage message(MsgType type, std::uint64_t bytes, Body body);
+    /** Send make() to every other member, in id order. */
+    template <class Make> void sendToMembers(Make make);
     void broadcastCacheUpdate(sim::FileId file, bool added);
     void sendCacheInfoTo(sim::NodeId peer);
-    void onSendReady();
+    /** End a send stall (if any): flush the queued sends in order,
+     *  then resume the main loop. */
+    void unstall();
     void failFast(const std::string &reason);
 
     // -- cache helpers ------------------------------------------------------
@@ -207,6 +213,8 @@ class Server : public osim::Service
     template <class Nodes, class Keep>
     sim::NodeId leastLoaded(const Nodes &nodes, Keep keep) const;
     std::uint32_t loadOf(sim::NodeId n) const;
+    /** CPU cost of sending file @p f to a client. */
+    sim::Tick replyCost(sim::FileId f) const;
 
     // -- main loop ---------------------------------------------------------
     /**
@@ -233,18 +241,17 @@ class Server : public osim::Service
 
     std::unique_ptr<DiskArray> disk_;
 
+    /** A request forwarded to @c target, kept as the client sent it
+     *  (latency stamps included) to answer or re-dispatch it. */
     struct PendingFwd
     {
-        sim::FileId file;
-        std::uint32_t clientPort;
+        ClientRequestBody req;
         sim::NodeId target;
-        sim::Tick sentAt;
-        sim::RequestId req;
-        // Client latency stamps, preserved across the forward hop
-        // (and across a re-dispatch when the target node dies).
-        sim::Tick reqSentAt = 0;
-        sim::Tick reqAcceptedAt = 0;
+        sim::Tick forwardedAt;
     };
+    using PendingTable = std::vector<PendingFwd>;
+    /** First entry whose request id is not below @p id. */
+    PendingTable::iterator pendingAt(sim::RequestId id);
 
     struct MainItem
     {
@@ -275,11 +282,11 @@ class Server : public osim::Service
         std::optional<FileCache> cache;
 
         // request state
-        // Ordered: excludeNode() re-dispatches entries in iteration
-        // order (scheduling main-loop work per entry) and sweepTick()
-        // walks it, so the order must be deterministic for
-        // byte-identical runs.
-        std::map<sim::RequestId, PendingFwd> pendingFwd;
+        /** Sorted by request id: excludeNode() re-dispatches entries
+         *  in that order, so runs stay byte-identical. Reserved for
+         *  acceptCap entries (each is an outstanding request), so it
+         *  never allocates once constructed. */
+        PendingTable pendingFwd;
         std::size_t outstanding = 0;
 
         // blocking-send state

@@ -479,32 +479,6 @@ TEST(Phase1, LegacyCacheWithoutFingerprintIsRejected)
     std::remove(path.c_str());
 }
 
-TEST(Phase1, EnsureAllRoutesThroughTheCampaign)
-{
-    // Pre-populate the cache via a fake campaign, then check the
-    // legacy BehaviorDb::ensureAll entry point loads it and reports
-    // every pair as cached (measuring nothing).
-    std::string path = tmpPath("campaign_ensureall.csv");
-    std::remove(path.c_str());
-    campaign::Phase1Options opts;
-    opts.measureFn = [](const exp::ExperimentConfig &cfg) {
-        return fakeBehavior(cfg.seed);
-    };
-    exp::BehaviorDb seeded;
-    campaign::ensurePhase1(seeded, path, opts);
-
-    exp::BehaviorDb db;
-    std::size_t cachedCalls = 0, measuredCalls = 0;
-    db.ensureAll(path, [&](press::Version, fault::FaultKind,
-                           bool cached) {
-        (cached ? cachedCalls : measuredCalls)++;
-    });
-    EXPECT_EQ(cachedCalls, fullGrid().size());
-    EXPECT_EQ(measuredCalls, 0u);
-    EXPECT_EQ(db.size(), fullGrid().size());
-    std::remove(path.c_str());
-}
-
 TEST(Phase1, ConcurrentRealSimulationsAreRaceFreeAndDeterministic)
 {
     // Real discrete-event simulations on 4 workers: the guard test
